@@ -7,11 +7,12 @@
 #include <cstring>
 #include <exception>
 #include <iterator>
+#include <limits>
+#include <mutex>
 #include <new>
 #include <vector>
 
 #include "common/fault.h"
-#include "common/macros.h"
 #include "common/memory.h"
 
 namespace crystal::cpu {
@@ -61,28 +62,97 @@ JoinTable BuildJoinTable(const int32_t* keys, const int32_t* payloads,
   const bool direct = DirectJoinEnabled() && n > 0 &&
                       span <= std::max<int64_t>(4 * n, int64_t{1} << 16) &&
                       span <= kMaxDirectSpan;
-  if (direct) {
-    table.base = min_key;
-    table.direct.assign(static_cast<size_t>(span), kDirectAbsent);
-    int32_t* slots = table.direct.data();
-    const int32_t base = min_key;
-    // Keys are unique, so the parallel stores hit disjoint slots.
+  const int32_t base = min_key;
+
+  // Domain-sized (perfect-hash-style) table, matching the paper's sizing;
+  // threads claim slots directly with compare-and-swap. `passed` replays
+  // an earlier filter pass instead of evaluating pred again.
+  const auto build_hash = [&](const uint8_t* passed) {
+    table.hash.emplace(std::max<int64_t>(n, 1), /*max_fill=*/1.0);
+    pool.ParallelFor(n, [&](int, int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) {
+        if (passed != nullptr ? passed[i] == 0 : !pred(i)) continue;
+        table.hash->Insert(keys[i], payloads != nullptr ? payloads[i]
+                                                        : keys[i]);
+      }
+    });
+  };
+  if (!direct) {
+    build_hash(nullptr);
+    return table;
+  }
+
+  table.span = span;
+  table.key_base = base;
+  if (payloads == nullptr) {
+    table.width = DirectWidth::kBitmap;
+    table.direct.assign(
+        static_cast<size_t>(DirectTableBytes(DirectWidth::kBitmap, span)), 0);
+    uint8_t* bits = table.direct.data();
     pool.ParallelFor(n, [&](int, int64_t begin, int64_t end) {
       for (int64_t i = begin; i < end; ++i) {
         if (!pred(i)) continue;
-        CRYSTAL_CHECK_MSG(payloads[i] != kDirectAbsent,
-                          "payload collides with the absent sentinel");
-        slots[keys[i] - base] = payloads[i];
+        const int64_t off = keys[i] - base;
+        // Adjacent keys share a byte across partitions: set bits atomically.
+        __atomic_fetch_or(&bits[off >> 3],
+                          static_cast<uint8_t>(1u << (off & 7)),
+                          __ATOMIC_RELAXED);
       }
     });
     return table;
   }
-  // Domain-sized (perfect-hash-style) table, matching the paper's sizing;
-  // threads claim slots directly with compare-and-swap.
-  table.hash.emplace(std::max<int64_t>(n, 1), /*max_fill=*/1.0);
+
+  // Payload joins: the width follows the passing payloads' range, so one
+  // pass records which rows pass (and that range) before any store.
+  std::vector<uint8_t> passed(static_cast<size_t>(n));
+  std::mutex range_mu;
+  int32_t lo = std::numeric_limits<int32_t>::max();
+  int32_t hi = std::numeric_limits<int32_t>::min();
+  pool.ParallelFor(n, [&](int, int64_t begin, int64_t end) {
+    int32_t local_lo = std::numeric_limits<int32_t>::max();
+    int32_t local_hi = std::numeric_limits<int32_t>::min();
+    for (int64_t i = begin; i < end; ++i) {
+      const bool pass = pred(i);
+      passed[static_cast<size_t>(i)] = pass ? 1 : 0;
+      if (pass) {
+        local_lo = std::min(local_lo, payloads[i]);
+        local_hi = std::max(local_hi, payloads[i]);
+      }
+    }
+    std::lock_guard<std::mutex> lock(range_mu);
+    lo = std::min(lo, local_lo);
+    hi = std::max(hi, local_hi);
+  });
+  const bool any = lo <= hi;
+  const int64_t range = any ? static_cast<int64_t>(hi) - lo : 0;
+  // Offsets must stay below the all-ones absent marker of their width.
+  if (range >= static_cast<uint16_t>(kDirectAbsent)) {
+    build_hash(passed.data());
+    return table;
+  }
+
+  table.width = range < static_cast<uint8_t>(kDirectAbsent)
+                    ? DirectWidth::kU8
+                    : DirectWidth::kU16;
+  table.payload_base = any ? lo : 0;
+  table.direct.assign(
+      static_cast<size_t>(DirectTableBytes(table.width, span)),
+      static_cast<uint8_t>(kDirectAbsent));
+  uint8_t* slots = table.direct.data();
+  const int32_t payload_base = table.payload_base;
+  const bool wide = table.width == DirectWidth::kU16;
+  // Keys are unique, so the parallel stores hit disjoint slots.
   pool.ParallelFor(n, [&](int, int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      if (pred(i)) table.hash->Insert(keys[i], payloads[i]);
+      if (passed[static_cast<size_t>(i)] == 0) continue;
+      const int64_t off = keys[i] - base;
+      const uint32_t value = static_cast<uint32_t>(payloads[i] - payload_base);
+      if (wide) {
+        const uint16_t narrow = static_cast<uint16_t>(value);
+        std::memcpy(slots + 2 * off, &narrow, sizeof(narrow));
+      } else {
+        slots[off] = static_cast<uint8_t>(value);
+      }
     }
   });
   return table;

@@ -20,26 +20,35 @@
 namespace crystal::cpu {
 
 /// Build side of one dimension join, in the representation the probe
-/// kernels consume: a direct-address payload array when the (filtered)
-/// key domain is compact — every SSB dimension qualifies: customer,
-/// supplier and part carry dense 1..rows surrogate keys and date's
-/// yyyymmdd domain spans ~61K values — or a linear-probing HashTable
-/// otherwise. Immutable after Build*, so instances can be shared
+/// kernels consume. When the key domain is compact — every SSB dimension
+/// qualifies: customer, supplier and part carry dense 1..rows surrogate
+/// keys and date's yyyymmdd domain spans ~61K values — it is a narrow
+/// direct-address array (DirectWidth): a membership bitmap for filter-only
+/// joins, or 8-/16-bit payload offsets from `payload_base` with all-ones
+/// marking an absent key. At SF=10 that keeps part at 100 KB (bitmap),
+/// 0.8 MB (u8) or 1.6 MB (u16) instead of 3.2 MB of int32 payloads, inside
+/// one core's 2 MB L2. Otherwise — a non-compact key domain, a payload range of
+/// 65535 or more, or direct tables switched off — it is a linear-probing
+/// HashTable. Immutable after BuildJoinTable, so instances can be shared
 /// read-only across queries and threads (see BuildCache).
 struct JoinTable {
-  /// Direct-address storage: payload for key k at direct[k - base],
-  /// kDirectAbsent where no build row (passing the filters) has the key.
-  AlignedVector<int32_t> direct;
-  int32_t base = 0;
+  /// Direct-address storage (see DirectWidth), kDirectTailSlack bytes
+  /// longer than the slots need; empty when the table is hashed.
+  AlignedVector<uint8_t> direct;
+  DirectWidth width = DirectWidth::kBitmap;
+  int64_t span = 0;
+  int32_t key_base = 0;
+  int32_t payload_base = 0;
   /// Fallback representation; engaged exactly when the table is not
   /// direct-addressed.
   std::optional<HashTable> hash;
 
   bool is_direct() const { return !hash.has_value(); }
+  DirectTable direct_view() const {
+    return {direct.data(), span, key_base, payload_base, width};
+  }
   int64_t bytes() const {
-    return is_direct()
-               ? static_cast<int64_t>(direct.size()) * 4
-               : hash->bytes();
+    return is_direct() ? static_cast<int64_t>(direct.size()) : hash->bytes();
   }
 };
 
@@ -54,13 +63,22 @@ bool DirectJoinEnabled();
 void SetDirectJoinEnabled(bool enabled);
 
 /// Builds the lookup table over keys[i] -> payloads[i] for the rows in
-/// [0, n) where pred(i) is true, with one parallel pass over the dimension
-/// (direct stores or CAS hash inserts; keys must be unique and >= 0).
-/// Chooses direct addressing when enabled and the full key domain
-/// [min, max] over all n rows is compact: span <= max(4n, 2^16), capped at
-/// 2^26 entries (256 MB would never be "cache-resident"). Basing the span
-/// on all rows — not just the passing ones — keeps the geometry of a
-/// table's direct representation identical across build filters.
+/// [0, n) where pred(i) is true (keys must be unique and >= 0). A null
+/// `payloads` marks a filter-only join: the table records membership only
+/// and a hit yields the key itself as its payload.
+///
+/// Representation, chosen from the input alone:
+///  * Direct addressing when enabled and the full key domain [min, max]
+///    over all n rows is compact: span <= max(4n, 2^16), capped at 2^26
+///    entries. Basing the span on all rows — not just the passing ones —
+///    keeps a table's key geometry identical across build filters.
+///  * Within direct addressing, the width: a bitmap without payloads, else
+///    u8 when the passing payloads' max - min is below 255, u16 below
+///    65535 (an empty build side takes u8).
+///  * A HashTable otherwise, including payload ranges of 65535 or more.
+/// The payload pass records which rows passed, so `pred` runs once per
+/// row; stores then go in parallel (atomic ORs for the shared bitmap
+/// bytes, disjoint slots for the offsets, CAS inserts for the hash).
 JoinTable BuildJoinTable(const int32_t* keys, const int32_t* payloads,
                          int64_t n,
                          const std::function<bool(int64_t)>& pred,
@@ -72,9 +90,8 @@ inline int ProbeJoinTable(const JoinTable& t, const int32_t* keys,
                           const int32_t* sel, int m, int32_t* sel_out,
                           int32_t* val_out, int32_t* pos_out) {
   if (t.is_direct()) {
-    return ProbeDirect(t.direct.data(),
-                       static_cast<int64_t>(t.direct.size()), t.base, keys,
-                       sel, m, sel_out, val_out, pos_out);
+    return ProbeDirect(t.direct_view(), keys, sel, m, sel_out, val_out,
+                       pos_out);
   }
   return ProbeSelect(*t.hash, keys, sel, m, sel_out, val_out, pos_out);
 }

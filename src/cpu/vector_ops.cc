@@ -110,22 +110,19 @@ int ProbeSelectScalar(const HashTable& ht, const int32_t* keys,
   return w;
 }
 
-int ProbeDirectScalar(const int32_t* table, int64_t span, int32_t base,
-                      const int32_t* keys, const int32_t* sel, int m,
-                      int32_t* sel_out, int32_t* val_out, int32_t* pos_out) {
+template <DirectWidth W>
+int ProbeDirectScalar(const DirectTable& table, const int32_t* keys,
+                      const int32_t* sel, int m, int32_t* sel_out,
+                      int32_t* val_out, int32_t* pos_out) {
   int w = 0;
   for (int i = 0; i < m; ++i) {
     const int32_t row = sel != nullptr ? sel[i] : i;
-    // One unsigned compare folds both range ends (off < 0 wraps huge).
-    const int64_t off = static_cast<int64_t>(keys[row]) - base;
-    if (static_cast<uint64_t>(off) < static_cast<uint64_t>(span)) {
-      const int32_t v = table[off];
-      if (v != kDirectAbsent) {
-        sel_out[w] = row;
-        if (val_out != nullptr) val_out[w] = v;
-        if (pos_out != nullptr) pos_out[w] = i;
-        ++w;
-      }
+    int32_t v;
+    if (internal::DirectLookup<W>(table, keys[row], &v)) {
+      sel_out[w] = row;
+      if (val_out != nullptr) val_out[w] = v;
+      if (pos_out != nullptr) pos_out[w] = i;
+      ++w;
     }
   }
   return w;
@@ -213,15 +210,26 @@ int ProbeSelect(const HashTable& ht, const int32_t* keys, const int32_t* sel,
   return ProbeSelectScalar(ht, keys, sel, m, sel_out, val_out, pos_out);
 }
 
-int ProbeDirect(const int32_t* table, int64_t span, int32_t base,
-                const int32_t* keys, const int32_t* sel, int m,
-                int32_t* sel_out, int32_t* val_out, int32_t* pos_out) {
+int ProbeDirect(const DirectTable& table, const int32_t* keys,
+                const int32_t* sel, int m, int32_t* sel_out, int32_t* val_out,
+                int32_t* pos_out) {
   if (SimdEnabled()) {
-    return internal::ProbeDirectAvx2(table, span, base, keys, sel, m, sel_out,
-                                     val_out, pos_out);
+    return internal::ProbeDirectAvx2(table, keys, sel, m, sel_out, val_out,
+                                     pos_out);
   }
-  return ProbeDirectScalar(table, span, base, keys, sel, m, sel_out, val_out,
-                           pos_out);
+  switch (table.width) {
+    case DirectWidth::kBitmap:
+      return ProbeDirectScalar<DirectWidth::kBitmap>(table, keys, sel, m,
+                                                     sel_out, val_out,
+                                                     pos_out);
+    case DirectWidth::kU8:
+      return ProbeDirectScalar<DirectWidth::kU8>(table, keys, sel, m, sel_out,
+                                                 val_out, pos_out);
+    case DirectWidth::kU16:
+      break;
+  }
+  return ProbeDirectScalar<DirectWidth::kU16>(table, keys, sel, m, sel_out,
+                                              val_out, pos_out);
 }
 
 void UnpackRange(const uint32_t* words, int bits, int32_t reference,

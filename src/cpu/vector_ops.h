@@ -62,24 +62,62 @@ int RefineRange(const int32_t* col, const int32_t* sel, int m, int32_t lo,
 int ProbeSelect(const HashTable& ht, const int32_t* keys, const int32_t* sel,
                 int m, int32_t* sel_out, int32_t* val_out, int32_t* pos_out);
 
-/// Sentinel payload marking an empty direct-address join-table slot (see
-/// ProbeDirect / cpu::JoinTable). Build sides must never carry it as a real
-/// payload; every SSB dimension attribute is non-negative, so INT32_MIN is
-/// safely out of band.
-inline constexpr int32_t kDirectAbsent = INT32_MIN;
+/// Direct-address build sides are stored at the narrowest width the build
+/// allows, so the probed table stays cache-resident (paper Section 5.3):
+///  * kBitmap — filter-only joins: one membership bit per key in the span
+///    (bit k - key_base of byte (k - key_base) / 8, LSB first). A hit's
+///    payload is the probe key itself, matching the "payload=key" identity
+///    query::BuildSideKey gives filter-only build sides.
+///  * kU8 / kU16 — payload joins: one 8- or 16-bit offset per key, the
+///    payload being payload_base + offset. The all-ones value at the slot's
+///    width (0xFF / 0xFFFF) marks a key no build row (passing the filters)
+///    carries, so real offsets span at most 0..254 / 0..65534.
+enum class DirectWidth : uint8_t { kBitmap, kU8, kU16 };
 
-/// Direct-address probe with selection: the build side is a dense payload
-/// array `table[0..span)` where key k lives at table[k - base] and absent
-/// keys hold kDirectAbsent — the degenerate perfect hash the SSB dimension
-/// tables admit (dense 1..rows surrogate keys; compact yyyymmdd date
-/// domain). Same contract as ProbeSelect otherwise: probes keys[sel[i]]
-/// (or keys[i] when sel == nullptr) for i in [0, m), emits surviving row
-/// indices / payloads / input positions, returns the match count. The AVX2
-/// path is a single bounds-masked 8-lane gather per vector — no hashing and
-/// no probe loop, which is exactly why dense build sides should prefer it.
-int ProbeDirect(const int32_t* table, int64_t span, int32_t base,
-                const int32_t* keys, const int32_t* sel, int m,
-                int32_t* sel_out, int32_t* val_out, int32_t* pos_out);
+/// Absent-slot marker of the offset widths: all ones, truncated to the
+/// slot's width (0xFF for kU8, 0xFFFF for kU16), so BuildJoinTable fills
+/// offset storage with 0xFF bytes. Bitmaps need none: a clear bit is
+/// absent.
+inline constexpr uint32_t kDirectAbsent = 0xFFFFFFFFu;
+
+/// Bytes every direct buffer carries past its last slot: the AVX2 probe
+/// reads each slot with a 32-bit gather at byte (bitmap, u8) or 2-byte
+/// (u16) granularity, so the last slot's load runs up to 3 bytes over.
+inline constexpr int64_t kDirectTailSlack = 3;
+
+/// Buffer size of a direct table over `span` keys at `width`, tail slack
+/// included (the allocation BuildJoinTable makes and the footprint model
+/// charges).
+inline int64_t DirectTableBytes(DirectWidth width, int64_t span) {
+  switch (width) {
+    case DirectWidth::kBitmap: return (span + 7) / 8 + kDirectTailSlack;
+    case DirectWidth::kU8: return span + kDirectTailSlack;
+    case DirectWidth::kU16: return 2 * span + kDirectTailSlack;
+  }
+  return 0;
+}
+
+/// Read-only view of one direct-address build side: key k lives in slot
+/// k - key_base of `data` when 0 <= k - key_base < span (span < 2^31).
+struct DirectTable {
+  const uint8_t* data = nullptr;
+  int64_t span = 0;
+  int32_t key_base = 0;
+  int32_t payload_base = 0;
+  DirectWidth width = DirectWidth::kBitmap;
+};
+
+/// Direct-address probe with selection — the degenerate perfect hash the
+/// SSB dimension tables admit (dense 1..rows surrogate keys; compact
+/// yyyymmdd date domain). Same contract as ProbeSelect otherwise: probes
+/// keys[sel[i]] (or keys[i] when sel == nullptr) for i in [0, m), emits
+/// surviving row indices / payloads / input positions, returns the match
+/// count. Keys outside the span (negative ones included) miss. The AVX2
+/// path is one bounds-masked 8-lane 32-bit gather per vector plus a mask
+/// (u8/u16) or a variable shift (bitmap) — no hashing and no probe loop.
+int ProbeDirect(const DirectTable& table, const int32_t* keys,
+                const int32_t* sel, int m, int32_t* sel_out, int32_t* val_out,
+                int32_t* pos_out);
 
 /// Compacts a carried vector through the positions a ProbeSelect emitted:
 /// v[j] = v[pos[j]] for j in [0, m). Safe in place because pos is strictly

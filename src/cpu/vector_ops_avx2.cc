@@ -192,16 +192,24 @@ int ProbeSelectAvx2(const HashTable& ht, const int32_t* keys,
   return w;
 }
 
-int ProbeDirectAvx2(const int32_t* table, int64_t span, int32_t base,
-                    const int32_t* keys, const int32_t* sel, int m,
-                    int32_t* sel_out, int32_t* val_out, int32_t* pos_out) {
+namespace {
+
+template <DirectWidth W>
+int ProbeDirectAvx2T(const DirectTable& table, const int32_t* keys,
+                     const int32_t* sel, int m, int32_t* sel_out,
+                     int32_t* val_out, int32_t* pos_out) {
   const PermTable& pt = GetPermTable();
-  const __m256i vbase = _mm256_set1_epi32(base);
-  const __m256i vzero = _mm256_setzero_si256();
-  // span fits int32: BuildJoinTable caps direct spans far below 2^31.
-  const __m256i vspan_m1 =
-      _mm256_set1_epi32(static_cast<int32_t>(span - 1));
-  const __m256i vabsent = _mm256_set1_epi32(kDirectAbsent);
+  const int* data = reinterpret_cast<const int*>(table.data);
+  const __m256i vbase = _mm256_set1_epi32(table.key_base);
+  // key_base + span - 1 is the build side's largest key, so it fits int32,
+  // and comparing keys (not wrapped offsets) keeps the range test exact.
+  const __m256i vlast = _mm256_set1_epi32(
+      static_cast<int32_t>(table.key_base + table.span - 1));
+  const __m256i vpayload_base = _mm256_set1_epi32(table.payload_base);
+  constexpr int kScale = W == DirectWidth::kU16 ? 2 : 1;
+  const __m256i vabsent = _mm256_set1_epi32(
+      W == DirectWidth::kU16 ? static_cast<uint16_t>(kDirectAbsent)
+                             : static_cast<uint8_t>(kDirectAbsent));
   int w = 0;
   int i = 0;
   for (; i + 8 <= m; i += 8) {
@@ -214,15 +222,29 @@ int ProbeDirectAvx2(const int32_t* table, int64_t span, int32_t base,
         sel != nullptr
             ? _mm256_i32gather_epi32(keys, idx, 4)
             : _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    const __m256i off = _mm256_sub_epi32(k, vbase);
-    // Lanes with 0 <= off < span may gather; the rest are zeroed so the
-    // single unmasked gather stays in bounds, then discarded via the mask.
-    const __m256i in_range = InRange(off, vzero, vspan_m1);
-    const __m256i safe_off = _mm256_and_si256(off, in_range);
-    const __m256i payload = _mm256_i32gather_epi32(table, safe_off, 4);
-    const __m256i present = _mm256_andnot_si256(
-        _mm256_cmpeq_epi32(payload, vabsent), _mm256_set1_epi32(-1));
-    const __m256i found = _mm256_and_si256(in_range, present);
+    // Lanes outside the span gather slot 0 instead, so the one unmasked
+    // gather stays inside the buffer (its 3-byte tail slack covers the
+    // 32-bit read of the last slot); the range mask discards them.
+    const __m256i in_range = InRange(k, vbase, vlast);
+    const __m256i off = _mm256_and_si256(_mm256_sub_epi32(k, vbase), in_range);
+    __m256i found;
+    __m256i payload;
+    if constexpr (W == DirectWidth::kBitmap) {
+      const __m256i word =
+          _mm256_i32gather_epi32(data, _mm256_srli_epi32(off, 3), 1);
+      const __m256i bit = _mm256_and_si256(
+          _mm256_srlv_epi32(word,
+                            _mm256_and_si256(off, _mm256_set1_epi32(7))),
+          _mm256_set1_epi32(1));
+      found = _mm256_and_si256(in_range,
+                               _mm256_cmpeq_epi32(bit, _mm256_set1_epi32(1)));
+      payload = k;
+    } else {
+      const __m256i slot = _mm256_and_si256(
+          _mm256_i32gather_epi32(data, off, kScale), vabsent);
+      found = _mm256_andnot_si256(_mm256_cmpeq_epi32(slot, vabsent), in_range);
+      payload = _mm256_add_epi32(slot, vpayload_base);
+    }
     const int mask8 = _mm256_movemask_ps(_mm256_castsi256_ps(found));
     const __m256i perm =
         _mm256_load_si256(reinterpret_cast<const __m256i*>(pt.idx[mask8]));
@@ -240,16 +262,34 @@ int ProbeDirectAvx2(const int32_t* table, int64_t span, int32_t base,
   }
   for (; i < m; ++i) {
     const int32_t row = sel != nullptr ? sel[i] : i;
-    const int64_t off = static_cast<int64_t>(keys[row]) - base;
-    if (static_cast<uint64_t>(off) < static_cast<uint64_t>(span) &&
-        table[off] != kDirectAbsent) {
+    int32_t v;
+    if (DirectLookup<W>(table, keys[row], &v)) {
       sel_out[w] = row;
-      if (val_out != nullptr) val_out[w] = table[off];
+      if (val_out != nullptr) val_out[w] = v;
       if (pos_out != nullptr) pos_out[w] = i;
       ++w;
     }
   }
   return w;
+}
+
+}  // namespace
+
+int ProbeDirectAvx2(const DirectTable& table, const int32_t* keys,
+                    const int32_t* sel, int m, int32_t* sel_out,
+                    int32_t* val_out, int32_t* pos_out) {
+  switch (table.width) {
+    case DirectWidth::kBitmap:
+      return ProbeDirectAvx2T<DirectWidth::kBitmap>(table, keys, sel, m,
+                                                    sel_out, val_out, pos_out);
+    case DirectWidth::kU8:
+      return ProbeDirectAvx2T<DirectWidth::kU8>(table, keys, sel, m, sel_out,
+                                                val_out, pos_out);
+    case DirectWidth::kU16:
+      break;
+  }
+  return ProbeDirectAvx2T<DirectWidth::kU16>(table, keys, sel, m, sel_out,
+                                             val_out, pos_out);
 }
 
 namespace {
@@ -605,8 +645,8 @@ int ProbeSelectAvx2(const HashTable&, const int32_t*, const int32_t*, int,
   CRYSTAL_CHECK_MSG(false, "AVX2 kernels not compiled in");
   return 0;
 }
-int ProbeDirectAvx2(const int32_t*, int64_t, int32_t, const int32_t*,
-                    const int32_t*, int, int32_t*, int32_t*, int32_t*) {
+int ProbeDirectAvx2(const DirectTable&, const int32_t*, const int32_t*, int,
+                    int32_t*, int32_t*, int32_t*) {
   CRYSTAL_CHECK_MSG(false, "AVX2 kernels not compiled in");
   return 0;
 }

@@ -2,8 +2,10 @@
 #define CRYSTAL_CPU_VECTOR_OPS_INTERNAL_H_
 
 #include <cstdint>
+#include <cstring>
 
 #include "cpu/hash_join.h"
+#include "cpu/vector_ops.h"
 
 namespace crystal::cpu::internal {
 
@@ -27,6 +29,35 @@ struct PermTable {
 /// Process-wide instance (defined in vector_ops.cc; safe on any host).
 const PermTable& GetPermTable();
 
+/// Scalar lookup of one key in a direct table, width fixed at compile time
+/// (see DirectWidth): the scalar ProbeDirect and the AVX2 kernel's tail are
+/// both built on it. Plain loads, so it never touches the tail slack.
+template <DirectWidth W>
+inline bool DirectLookup(const DirectTable& t, int32_t key, int32_t* value) {
+  // One unsigned compare folds both range ends (off < 0 wraps huge).
+  const int64_t off = static_cast<int64_t>(key) - t.key_base;
+  if (static_cast<uint64_t>(off) >= static_cast<uint64_t>(t.span)) {
+    return false;
+  }
+  if constexpr (W == DirectWidth::kBitmap) {
+    if (((t.data[off >> 3] >> (off & 7)) & 1) == 0) return false;
+    *value = key;
+  } else {
+    uint32_t slot;
+    if constexpr (W == DirectWidth::kU8) {
+      slot = t.data[off];
+      if (slot == static_cast<uint8_t>(kDirectAbsent)) return false;
+    } else {
+      uint16_t narrow;
+      std::memcpy(&narrow, t.data + 2 * off, sizeof(narrow));
+      slot = narrow;
+      if (slot == static_cast<uint16_t>(kDirectAbsent)) return false;
+    }
+    *value = t.payload_base + static_cast<int32_t>(slot);
+  }
+  return true;
+}
+
 /// AVX2 kernel entry points, defined in vector_ops_avx2.cc — the only
 /// translation unit compiled with -mavx2, so the scalar paths elsewhere can
 /// never pick up AVX2 instructions by auto-vectorization. When the compiler
@@ -42,9 +73,9 @@ int RefineRangeAvx2(const int32_t* col, const int32_t* sel, int m, int32_t lo,
 int ProbeSelectAvx2(const HashTable& ht, const int32_t* keys,
                     const int32_t* sel, int m, int32_t* sel_out,
                     int32_t* val_out, int32_t* pos_out);
-int ProbeDirectAvx2(const int32_t* table, int64_t span, int32_t base,
-                    const int32_t* keys, const int32_t* sel, int m,
-                    int32_t* sel_out, int32_t* val_out, int32_t* pos_out);
+int ProbeDirectAvx2(const DirectTable& table, const int32_t* keys,
+                    const int32_t* sel, int m, int32_t* sel_out,
+                    int32_t* val_out, int32_t* pos_out);
 
 // Packed-column kernels (bit-unpack in register: two 8-lane word gathers,
 // variable shifts, mask, add reference — see vector_ops.h for contracts).

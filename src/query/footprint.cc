@@ -6,8 +6,10 @@ namespace crystal::query {
 
 namespace {
 
-/// Mirrors cpu/build_cache.cc's direct-address eligibility cap.
+/// Mirror cpu/build_cache.cc's direct-address eligibility cap and the
+/// tail slack of cpu::DirectTableBytes.
 constexpr int64_t kMaxDirectSpan = int64_t{1} << 26;
+constexpr int64_t kDirectTailSlack = 3;
 
 /// Occupancy bound for the sparse-table model: real workloads touch a few
 /// hundred to a few thousand cells, so the model claims at most this many
@@ -30,10 +32,13 @@ int64_t SparseTableBytes(int64_t cells, int64_t slots) {
   return capacity * 16 + groups * slots * 8;
 }
 
-/// Modeled JoinTable size: the same span math BuildJoinTable applies,
-/// measured over the unfiltered key column (a superset, so direct-address
-/// eligibility and span are both conservative).
-int64_t BuildSideBytes(const BoundJoin& join) {
+/// Modeled JoinTable size: the same span and width rules BuildJoinTable
+/// applies. The key span is measured over the unfiltered key column, as
+/// the build does; the width comes from the payload column's whole
+/// DimColDomain range (`payload_span` = range + 1, 0 for a filter-only
+/// join), a superset of the passing payloads the build measures, so the
+/// model never picks a narrower width than the build.
+int64_t BuildSideBytes(const BoundJoin& join, int64_t payload_span) {
   const int64_t n = join.dim_rows;
   if (n <= 0 || join.keys == nullptr) return 0;
   const int32_t* keys = join.keys->data();
@@ -44,11 +49,25 @@ int64_t BuildSideBytes(const BoundJoin& join) {
     max_key = std::max(max_key, keys[i]);
   }
   const int64_t span = static_cast<int64_t>(max_key) - min_key + 1;
-  if (span <= std::max<int64_t>(4 * n, int64_t{1} << 16) &&
-      span <= kMaxDirectSpan) {
-    return span * 4;  // direct: one int32 payload slot per span value
+  const int64_t hash_bytes = NextPow2(2 * n) * 8;  // uint64 slots, <= 50%
+  if (span > std::max<int64_t>(4 * n, int64_t{1} << 16) ||
+      span > kMaxDirectSpan) {
+    return hash_bytes;
   }
-  return NextPow2(2 * n) * 8;  // hash: packed uint64 slots at <= 50% fill
+  // Payload range thresholds of cpu::BuildJoinTable: all-ones is the
+  // absent marker, so u8 holds ranges below 255 and u16 below 65535.
+  const int64_t range = payload_span - 1;
+  int64_t slot_bits;
+  if (payload_span == 0) {
+    slot_bits = 1;  // filter-only: membership bitmap
+  } else if (range < 0xFF) {
+    slot_bits = 8;
+  } else if (range < 0xFFFF) {
+    slot_bits = 16;
+  } else {
+    return hash_bytes;
+  }
+  return (span * slot_bits + 7) / 8 + kDirectTailSlack;
 }
 
 }  // namespace
@@ -82,8 +101,10 @@ FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads) {
   est.builds.reserve(pipe.probes.size());
   for (size_t i = 0; i < pipe.probes.size(); ++i) {
     const ProbeStage& probe = pipe.probes[i];
-    const int64_t bytes =
-        BuildSideBytes(pipe.bound[static_cast<size_t>(probe.join_index)]);
+    const int64_t payload_span =
+        probe.group_slot >= 0 ? pipe.layout.span[probe.group_slot] : 0;
+    const int64_t bytes = BuildSideBytes(
+        pipe.bound[static_cast<size_t>(probe.join_index)], payload_span);
     est.builds.push_back({probe.cache_key, bytes});
     est.build_bytes += bytes;
   }

@@ -25,11 +25,13 @@ struct BuildFootprint {
 
 /// Predicted memory footprint of one lowered pipeline, derived from the
 /// same geometry the execution layer uses: GroupLayout cells x AggPlan
-/// slots for the aggregation state, and the JoinTable span math (direct
-/// span x 4 bytes, or a 50%-fill hash table) for each build side. The
-/// estimate is deliberately conservative — build-side spans are measured
-/// over the unfiltered key column and sparse-table occupancy is bounded,
-/// not sampled — because admission control treats it as a claim, and an
+/// slots for the aggregation state, and the JoinTable span and width rules
+/// (direct span x a bitmap bit, or 8/16 bits by the payload's DimColDomain
+/// range, or a 50%-fill hash table) for each build side. The estimate is
+/// deliberately conservative — build-side spans are measured over the
+/// unfiltered key column, widths over the whole payload domain, and
+/// sparse-table occupancy is bounded, not sampled — because admission
+/// control treats it as a claim, and an
 /// over-claim degrades throughput while an under-claim degrades the
 /// process (docs/ROBUSTNESS.md, "Memory governance").
 struct FootprintEstimate {

@@ -288,9 +288,13 @@ struct FusedQuery::Impl {
       StatusOr<std::shared_ptr<const cpu::JoinTable>> table =
           cpu::BuildCache::Process().GetOrBuild(
               generation, probe.cache_key,
-              [&join, &build_pool] {
+              [&join, &probe, &build_pool] {
+                // Filter-only joins (no group slot) pass no payload and
+                // get a membership bitmap.
                 return cpu::BuildJoinTable(
-                    join.keys->data(), join.payload->data(), join.dim_rows,
+                    join.keys->data(),
+                    probe.group_slot >= 0 ? join.payload->data() : nullptr,
+                    join.dim_rows,
                     [&join](int64_t i) {
                       return join.RowPasses(static_cast<size_t>(i));
                     },
@@ -534,7 +538,7 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
       return buf;
     };
     // Probe cascade on the selection vector; each stage is a batched
-    // lookup — one bounds-masked gather per 8 keys on direct tables,
+    // lookup — one bounds-masked gather per 8 keys on narrow direct tables,
     // vertical-vectorized hash probing otherwise — whose pos output
     // compacts the group keys carried from earlier stages.
     int carried = 0;

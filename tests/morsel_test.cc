@@ -8,6 +8,7 @@
 // without ever mixing up build sides that differ only in their filters.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <new>
 #include <string>
@@ -25,6 +26,7 @@
 #include "ssb/fused_query.h"
 #include "ssb/queries.h"
 #include "ssb/vectorized_cpu_engine.h"
+#include "workload/workload.h"
 
 namespace crystal::ssb {
 namespace {
@@ -320,19 +322,21 @@ TEST(BuildCacheTest, PayloadVariantsDoNotCollide) {
   EXPECT_EQ(info.cache_hits, 1);
 }
 
-/// Synthetic direct-address table of exactly `n * 4` bytes, for pressure
-/// tests that need precise control over entry sizes.
-cpu::JoinTable MakeTable(int64_t n) {
+/// Synthetic (all-absent) u8 direct table of exactly `bytes` bytes, tail
+/// slack included, for pressure tests that need precise control over entry
+/// sizes.
+cpu::JoinTable MakeTable(int64_t bytes) {
   cpu::JoinTable table;
-  table.direct.assign(static_cast<size_t>(n), 0);
-  table.base = 0;
+  table.width = cpu::DirectWidth::kU8;
+  table.span = bytes - cpu::kDirectTailSlack;
+  table.direct.assign(static_cast<size_t>(bytes), 0xFF);
   return table;
 }
 
 TEST(BuildCachePressureTest, EvictsIdleEntriesLruFirstAndPinnedNever) {
   cpu::BuildCache& cache = cpu::BuildCache::Process();
   cache.Clear();
-  const auto build = [] { return MakeTable(256); };  // 1 KiB each
+  const auto build = [] { return MakeTable(1024); };  // 1 KiB each
   bool hit = false;
   // a, b: idle after this scope (only the cache holds them).
   ASSERT_TRUE(cache.GetOrBuild("g1", "a", build, &hit).ok());
@@ -370,7 +374,7 @@ TEST(BuildCachePressureTest, EvictsIdleEntriesLruFirstAndPinnedNever) {
 TEST(BuildCachePressureTest, ForeignGenerationsDrainBeforeTheKeptOne) {
   cpu::BuildCache& cache = cpu::BuildCache::Process();
   cache.Clear();
-  const auto build = [] { return MakeTable(256); };
+  const auto build = [] { return MakeTable(1024); };
   bool hit = false;
   ASSERT_TRUE(cache.GetOrBuild("old", "x", build, &hit).ok());
   ASSERT_TRUE(cache.GetOrBuild("cur", "y", build, &hit).ok());
@@ -391,7 +395,7 @@ TEST(BuildCachePressureTest, ChargesRideTheTableLifetimeAndReconcile) {
   bool hit = false;
   {
     StatusOr<std::shared_ptr<const cpu::JoinTable>> held =
-        cache.GetOrBuild("g1", "held", [] { return MakeTable(512); }, &hit);
+        cache.GetOrBuild("g1", "held", [] { return MakeTable(2048); }, &hit);
     ASSERT_TRUE(held.ok());
     EXPECT_EQ(budget.used(MemCategory::kBuildCache), before + 2048);
     // Evicting the pinned entry is impossible; the charge stays until the
@@ -400,7 +404,7 @@ TEST(BuildCachePressureTest, ChargesRideTheTableLifetimeAndReconcile) {
     EXPECT_EQ(budget.used(MemCategory::kBuildCache), before + 2048);
     // An idle sibling does evict — and only its charge drops.
     ASSERT_TRUE(cache.GetOrBuild("g1", "idle",
-                                 [] { return MakeTable(512); }, &hit)
+                                 [] { return MakeTable(2048); }, &hit)
                     .ok());
     EXPECT_EQ(budget.used(MemCategory::kBuildCache), before + 4096);
     EXPECT_EQ(cache.EvictForPressure(1 << 30, "g1"), 2048);  // idle only
@@ -430,7 +434,7 @@ TEST(BuildCachePressureTest, EvictFaultPointVetoesThePass) {
   cache.Clear();
   bool hit = false;
   ASSERT_TRUE(
-      cache.GetOrBuild("g1", "a", [] { return MakeTable(256); }, &hit).ok());
+      cache.GetOrBuild("g1", "a", [] { return MakeTable(1024); }, &hit).ok());
   ASSERT_TRUE(fault::Install("cache.evict=fail").ok());
   EXPECT_EQ(cache.EvictForPressure(1 << 30, "g1"), 0);
   EXPECT_TRUE(cache.Contains("g1", "a"));
@@ -488,43 +492,178 @@ TEST(FusedQueryDegradationTest, SharedSparseFloorIsBitIdentical) {
   EXPECT_EQ(budget.used(), 0);  // every claim released
 }
 
+/// Builds over keys 0..n-1 with every row passing, switching to the scoped
+/// direct-join setting.
+cpu::JoinTable BuildAll(const std::vector<int32_t>& keys,
+                        const std::vector<int32_t>* payloads,
+                        ThreadPool& pool) {
+  return cpu::BuildJoinTable(
+      keys.data(), payloads != nullptr ? payloads->data() : nullptr,
+      static_cast<int64_t>(keys.size()), [](int64_t) { return true; }, pool);
+}
+
+TEST(BuildJoinTableTest, WidthFollowsPayloadRange) {
+  DispatchGuard guard;
+  cpu::SetDirectJoinEnabled(true);
+  ThreadPool pool(2);
+  const int64_t n = 70000;
+  std::vector<int32_t> keys(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) keys[static_cast<size_t>(i)] = 1 + i;
+
+  const cpu::JoinTable bitmap = BuildAll(keys, nullptr, pool);
+  ASSERT_TRUE(bitmap.is_direct());
+  EXPECT_EQ(bitmap.width, cpu::DirectWidth::kBitmap);
+  EXPECT_EQ(bitmap.bytes(), (n + 7) / 8 + cpu::kDirectTailSlack);
+
+  // Payloads cycling over [7, 7 + range]: max - min == range exactly.
+  struct Want {
+    int32_t range;
+    bool direct;
+    cpu::DirectWidth width;
+  };
+  const Want wants[] = {{0, true, cpu::DirectWidth::kU8},
+                        {254, true, cpu::DirectWidth::kU8},
+                        {255, true, cpu::DirectWidth::kU16},
+                        {65534, true, cpu::DirectWidth::kU16},
+                        {65535, false, cpu::DirectWidth::kU8}};
+  for (const Want& want : wants) {
+    std::vector<int32_t> payloads(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      payloads[static_cast<size_t>(i)] =
+          7 + static_cast<int32_t>(i % (int64_t{want.range} + 1));
+    }
+    const cpu::JoinTable table = BuildAll(keys, &payloads, pool);
+    ASSERT_EQ(table.is_direct(), want.direct) << "range=" << want.range;
+    if (!want.direct) continue;
+    EXPECT_EQ(table.width, want.width) << "range=" << want.range;
+    EXPECT_EQ(table.payload_base, 7) << "range=" << want.range;
+    EXPECT_EQ(table.bytes(), cpu::DirectTableBytes(want.width, n))
+        << "range=" << want.range;
+  }
+
+  // A build side nothing passes is an all-absent u8 table.
+  std::vector<int32_t> payloads(static_cast<size_t>(n), 1 << 30);
+  const cpu::JoinTable empty = cpu::BuildJoinTable(
+      keys.data(), payloads.data(), n, [](int64_t) { return false; }, pool);
+  ASSERT_TRUE(empty.is_direct());
+  EXPECT_EQ(empty.width, cpu::DirectWidth::kU8);
+  int32_t sel[8];
+  EXPECT_EQ(cpu::ProbeJoinTable(empty, keys.data(), nullptr, 8, sel, nullptr,
+                                nullptr),
+            0);
+
+  // CRYSTAL_DIRECT_JOIN=0 still forces the hash representation.
+  cpu::SetDirectJoinEnabled(false);
+  EXPECT_FALSE(BuildAll(keys, nullptr, pool).is_direct());
+}
+
 TEST(BuildJoinTableTest, DirectAndHashRepresentationsAgree) {
-  // Build both representations of one filtered build side directly and
-  // probe them with every kernel path; they must emit identical matches.
+  // Build each direct width and the hash representation of one filtered
+  // build side and probe them with every kernel path; they must emit
+  // identical matches (a filter-only side carries the key as its payload).
   DispatchGuard guard;
   ThreadPool pool(2);
   const Database& db = TestDb();
-  const auto pred = [&](int64_t i) {
-    return db.p.category[static_cast<size_t>(i)] == 12;
+  struct Case {
+    const char* name;
+    const int32_t* payloads;
+    std::function<bool(int64_t)> pred;
+    cpu::DirectWidth width;
   };
-
-  cpu::SetDirectJoinEnabled(true);
-  const cpu::JoinTable direct = cpu::BuildJoinTable(
-      db.p.partkey.data(), db.p.brand1.data(), db.p.rows, pred, pool);
-  ASSERT_TRUE(direct.is_direct());
-
-  cpu::SetDirectJoinEnabled(false);
-  const cpu::JoinTable hash = cpu::BuildJoinTable(
-      db.p.partkey.data(), db.p.brand1.data(), db.p.rows, pred, pool);
-  ASSERT_FALSE(hash.is_direct());
-
+  const Case cases[] = {
+      {"bitmap", nullptr,
+       [&](int64_t i) { return db.p.category[static_cast<size_t>(i)] == 12; },
+       cpu::DirectWidth::kBitmap},
+      // Category 12's brands span a few dozen codes.
+      {"u8", db.p.brand1.data(),
+       [&](int64_t i) { return db.p.category[static_cast<size_t>(i)] == 12; },
+       cpu::DirectWidth::kU8},
+      // Every third part dropped: absent slots across the full brand range.
+      {"u16", db.p.brand1.data(), [](int64_t i) { return i % 3 != 0; },
+       cpu::DirectWidth::kU16},
+  };
   const int n = 1024;
   const int32_t* keys = db.lo.partkey.data();
-  for (bool simd : {false, true}) {
-    if (simd && !cpu::SimdAvailable()) continue;
-    cpu::SetSimdEnabled(simd);
-    int32_t sel_a[1024], val_a[1024], pos_a[1024];
-    int32_t sel_b[1024], val_b[1024], pos_b[1024];
-    const int ma =
-        cpu::ProbeJoinTable(direct, keys, nullptr, n, sel_a, val_a, pos_a);
-    const int mb =
-        cpu::ProbeJoinTable(hash, keys, nullptr, n, sel_b, val_b, pos_b);
-    ASSERT_EQ(ma, mb) << "simd=" << simd;
-    for (int i = 0; i < ma; ++i) {
-      EXPECT_EQ(sel_a[i], sel_b[i]);
-      EXPECT_EQ(val_a[i], val_b[i]);
-      EXPECT_EQ(pos_a[i], pos_b[i]);
+  std::vector<int32_t> sparse;
+  for (int i = 0; i < n; i += 3) sparse.push_back(i);
+  for (const Case& c : cases) {
+    cpu::SetDirectJoinEnabled(true);
+    const cpu::JoinTable direct = cpu::BuildJoinTable(
+        db.p.partkey.data(), c.payloads, db.p.rows, c.pred, pool);
+    ASSERT_TRUE(direct.is_direct()) << c.name;
+    ASSERT_EQ(direct.width, c.width) << c.name;
+
+    cpu::SetDirectJoinEnabled(false);
+    const cpu::JoinTable hash = cpu::BuildJoinTable(
+        db.p.partkey.data(), c.payloads, db.p.rows, c.pred, pool);
+    ASSERT_FALSE(hash.is_direct()) << c.name;
+
+    for (bool simd : {false, true}) {
+      if (simd && !cpu::SimdAvailable()) continue;
+      cpu::SetSimdEnabled(simd);
+      for (const std::vector<int32_t>* sel :
+           {static_cast<const std::vector<int32_t>*>(nullptr),
+            static_cast<const std::vector<int32_t>*>(&sparse)}) {
+        const int m = sel != nullptr ? static_cast<int>(sel->size()) : n;
+        const int32_t* in_sel = sel != nullptr ? sel->data() : nullptr;
+        int32_t sel_a[1024], val_a[1024], pos_a[1024];
+        int32_t sel_b[1024], val_b[1024], pos_b[1024];
+        const int ma =
+            cpu::ProbeJoinTable(direct, keys, in_sel, m, sel_a, val_a, pos_a);
+        const int mb =
+            cpu::ProbeJoinTable(hash, keys, in_sel, m, sel_b, val_b, pos_b);
+        ASSERT_GT(ma, 0) << c.name;
+        ASSERT_EQ(ma, mb) << c.name << " simd=" << simd;
+        for (int i = 0; i < ma; ++i) {
+          EXPECT_EQ(sel_a[i], sel_b[i]) << c.name;
+          EXPECT_EQ(val_a[i], val_b[i]) << c.name;
+          EXPECT_EQ(pos_a[i], pos_b[i]) << c.name;
+        }
+      }
     }
+  }
+}
+
+/// Asserts that the footprint model never under-claims a build side:
+/// every probe's estimate must cover the bytes the build cache actually
+/// charged for the table the engine fetched.
+void ExpectEstimatesCoverBuilds(const query::QuerySpec& spec,
+                                ThreadPool& pool) {
+  const query::FootprintEstimate estimate =
+      query::EstimateFootprint(query::LowerToPipeline(spec, TestDb()), 2);
+  StatusOr<std::unique_ptr<FusedQuery>> fused =
+      FusedQuery::Create(spec, TestDb(), 2, pool);
+  ASSERT_TRUE(fused.ok()) << spec.name << ": " << fused.status().ToString();
+  const std::string generation = query::GenerationKey(TestDb());
+  for (const query::BuildFootprint& build : estimate.builds) {
+    bool hit = false;
+    StatusOr<std::shared_ptr<const cpu::JoinTable>> table =
+        cpu::BuildCache::Process().GetOrBuild(
+            generation, build.cache_key,
+            [] {
+              ADD_FAILURE() << "the query's build side was not cached";
+              return cpu::JoinTable();
+            },
+            &hit);
+    ASSERT_TRUE(table.ok() && hit) << spec.name << " " << build.cache_key;
+    EXPECT_GE(build.bytes, (*table)->bytes())
+        << spec.name << " " << build.cache_key;
+  }
+}
+
+TEST(FootprintTest, BuildEstimatesCoverChargedTables) {
+  DispatchGuard guard;
+  cpu::SetDirectJoinEnabled(true);
+  cpu::BuildCache::Process().Clear();
+  ThreadPool pool(2);
+  for (QueryId id : kAllQueries) {
+    ExpectEstimatesCoverBuilds(query::SsbSpec(id), pool);
+  }
+  workload::GenOptions options;
+  options.count = 192;
+  for (const workload::GeneratedQuery& q :
+       workload::GenerateWorkload(options)) {
+    ExpectEstimatesCoverBuilds(q.spec, pool);
   }
 }
 

@@ -5,7 +5,14 @@
 // engine-level counterpart is the conformance suite run with CRYSTAL_SIMD=0
 // (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <climits>
+#include <map>
+#include <new>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -245,6 +252,188 @@ TEST(VectorOpsProbeTest, MissProbeTerminatesOnMaximallyFullTable) {
                     out_sel.data(), nullptr, nullptr);
     EXPECT_EQ(got, 0) << label;
   });
+}
+
+/// `size` bytes that end exactly at an inaccessible guard page, so any
+/// read past the last byte faults. ASan cannot stand in for this: it does
+/// not instrument the AVX2 gathers that read the tail slack.
+class GuardedBytes {
+ public:
+  explicit GuardedBytes(size_t size) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    map_bytes_ = (size + page - 1) / page * page + page;
+    void* p = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    map_ = static_cast<uint8_t*>(p);
+    uint8_t* guard = map_ + map_bytes_ - page;
+    if (mprotect(guard, page, PROT_NONE) != 0) {
+      munmap(map_, map_bytes_);
+      throw std::bad_alloc();
+    }
+    data_ = guard - size;
+  }
+  ~GuardedBytes() { munmap(map_, map_bytes_); }
+  GuardedBytes(const GuardedBytes&) = delete;
+  GuardedBytes& operator=(const GuardedBytes&) = delete;
+
+  uint8_t* data() const { return data_; }
+
+ private:
+  uint8_t* map_ = nullptr;
+  size_t map_bytes_ = 0;
+  uint8_t* data_ = nullptr;
+};
+
+/// A hand-encoded direct table plus the key -> payload map it encodes, the
+/// reference ProbeDirect is checked against. The buffer is exactly
+/// DirectTableBytes long and guarded, so a probe reading past the tail
+/// slack crashes the test. About 2/3 of the span's slots get random
+/// payloads (the rest stay absent); slot 0 stays absent and the last slot
+/// holds the widest legal offset (max - 1 at the width, since all-ones
+/// means absent).
+struct DirectFixture {
+  DirectFixture(DirectWidth width, int32_t key_base, int64_t span,
+                uint64_t seed)
+      : bytes(static_cast<size_t>(DirectTableBytes(width, span))) {
+    uint8_t* data = bytes.data();
+    std::fill(data, data + DirectTableBytes(width, span),
+              width == DirectWidth::kBitmap ? 0 : 0xFF);
+    const int32_t payload_base = 1000;
+    const int32_t max_offset = width == DirectWidth::kU16 ? 0xFFFE : 0xFE;
+    Rng rng(seed);
+    for (int64_t off = 1; off < span; ++off) {
+      const bool last = off == span - 1;
+      if (!last && rng.UniformInt(0, 2) == 0) continue;
+      const int32_t key = key_base + static_cast<int32_t>(off);
+      if (width == DirectWidth::kBitmap) {
+        data[off >> 3] |= static_cast<uint8_t>(1u << (off & 7));
+        entries[key] = key;
+        continue;
+      }
+      const int32_t offset = last ? max_offset : rng.UniformInt(0, max_offset);
+      if (width == DirectWidth::kU8) {
+        data[off] = static_cast<uint8_t>(offset);
+      } else {
+        data[2 * off] = static_cast<uint8_t>(offset);
+        data[2 * off + 1] = static_cast<uint8_t>(offset >> 8);
+      }
+      entries[key] = payload_base + offset;
+    }
+    view = {data, span, key_base, payload_base, width};
+  }
+
+  GuardedBytes bytes;
+  DirectTable view;
+  std::map<int32_t, int32_t> entries;
+};
+
+TEST(VectorOpsProbeDirectTest, MatchesReferenceAcrossWidthsSelsAndTails) {
+  struct Shape {
+    DirectWidth width;
+    int32_t key_base;
+    int64_t span;
+  };
+  // Spans off the 8-bit grid so the bitmap's last byte is partial; the
+  // u16 span is wide enough to hold offset 65534.
+  const Shape shapes[] = {{DirectWidth::kBitmap, 1, 301},
+                          {DirectWidth::kU8, 19920101, 250},
+                          {DirectWidth::kU16, 5, 70000}};
+  for (const Shape& shape : shapes) {
+    const DirectFixture f(shape.width, shape.key_base, shape.span, 41);
+    const int32_t last = shape.key_base + static_cast<int32_t>(shape.span) - 1;
+    for (int tail = 0; tail < 16; ++tail) {
+      for (int m_body : {0, 48}) {
+        const int n = m_body + tail;
+        // Keys around and inside the span, plus the extremes: negative,
+        // just outside each end, the (absent) first and the last slot.
+        Rng rng(97 + static_cast<uint64_t>(n));
+        std::vector<int32_t> keys(static_cast<size_t>(n));
+        const int32_t special[] = {INT32_MIN, -1, shape.key_base - 1,
+                                   shape.key_base, last, last + 1, INT32_MAX};
+        for (int i = 0; i < n; ++i) {
+          keys[static_cast<size_t>(i)] =
+              i % 5 == 0 ? special[(i / 5) % 7]
+                         : shape.key_base - 20 +
+                               rng.UniformInt(
+                                   0, static_cast<int32_t>(shape.span) + 40);
+        }
+        if (n > 0) keys[static_cast<size_t>(n - 1)] = last;
+        std::vector<int32_t> sparse;
+        for (int i = 0; i < n; i += 3) sparse.push_back(i);
+        for (const std::vector<int32_t>* sel :
+             {static_cast<const std::vector<int32_t>*>(nullptr),
+              static_cast<const std::vector<int32_t>*>(&sparse)}) {
+          ProbeReference want;
+          const int m = sel != nullptr ? static_cast<int>(sel->size()) : n;
+          for (int i = 0; i < m; ++i) {
+            const int32_t row =
+                sel != nullptr ? (*sel)[static_cast<size_t>(i)] : i;
+            const auto it = f.entries.find(keys[static_cast<size_t>(row)]);
+            if (it == f.entries.end()) continue;
+            want.sel.push_back(row);
+            want.val.push_back(it->second);
+            want.pos.push_back(i);
+          }
+          ForBothPaths([&](const char* label) {
+            std::vector<int32_t> out_sel(static_cast<size_t>(m) + 8, -1);
+            std::vector<int32_t> out_val(static_cast<size_t>(m) + 8, -1);
+            std::vector<int32_t> out_pos(static_cast<size_t>(m) + 8, -1);
+            if (sel != nullptr) {
+              std::copy(sel->begin(), sel->end(), out_sel.begin());
+            }
+            const int got = ProbeDirect(
+                f.view, keys.data(), sel != nullptr ? out_sel.data() : nullptr,
+                m, out_sel.data(), out_val.data(), out_pos.data());
+            const std::string where =
+                std::string(label) +
+                " width=" + std::to_string(static_cast<int>(shape.width)) +
+                " n=" + std::to_string(n) +
+                (sel != nullptr ? " sparse" : " dense");
+            ASSERT_EQ(static_cast<size_t>(got), want.sel.size()) << where;
+            for (int i = 0; i < got; ++i) {
+              const size_t u = static_cast<size_t>(i);
+              ASSERT_EQ(out_sel[u], want.sel[u]) << where << " i=" << i;
+              ASSERT_EQ(out_val[u], want.val[u]) << where << " i=" << i;
+              ASSERT_EQ(out_pos[u], want.pos[u]) << where << " i=" << i;
+            }
+          });
+        }
+      }
+    }
+  }
+}
+
+TEST(VectorOpsProbeDirectTest, LastSlotAndWidestOffsetHitWithNullOutputs) {
+  // Eight copies of the last key: the AVX2 body's gather reads the last
+  // slot (32 bits from its first byte, into the tail slack) on every lane.
+  for (DirectWidth width :
+       {DirectWidth::kBitmap, DirectWidth::kU8, DirectWidth::kU16}) {
+    const int64_t span = width == DirectWidth::kU16 ? 65600 : 77;
+    const DirectFixture f(width, 3, span, 7);
+    const int32_t last = 3 + static_cast<int32_t>(span) - 1;
+    const std::vector<int32_t> keys(9, last);
+    const int32_t want_val =
+        width == DirectWidth::kBitmap
+            ? last
+            : 1000 + (width == DirectWidth::kU8 ? 0xFE : 0xFFFE);
+    ForBothPaths([&](const char* label) {
+      std::vector<int32_t> out_sel(keys.size() + 8, -1);
+      std::vector<int32_t> out_val(keys.size() + 8, -1);
+      EXPECT_EQ(ProbeDirect(f.view, keys.data(), nullptr, 9, out_sel.data(),
+                            nullptr, nullptr),
+                9)
+          << label;
+      ASSERT_EQ(ProbeDirect(f.view, keys.data(), nullptr, 9, out_sel.data(),
+                            out_val.data(), nullptr),
+                9)
+          << label;
+      for (int i = 0; i < 9; ++i) {
+        EXPECT_EQ(out_sel[static_cast<size_t>(i)], i) << label;
+        EXPECT_EQ(out_val[static_cast<size_t>(i)], want_val) << label;
+      }
+    });
+  }
 }
 
 TEST(VectorOpsCompactTest, CompactsCarriedVectorsInPlace) {
