@@ -37,8 +37,10 @@ int64_t SparseTableBytes(int64_t cells, int64_t slots) {
 /// the build does; the width comes from the payload column's whole
 /// DimColDomain range (`payload_span` = range + 1, 0 for a filter-only
 /// join), a superset of the passing payloads the build measures, so the
-/// model never picks a narrower width than the build.
-int64_t BuildSideBytes(const BoundJoin& join, int64_t payload_span) {
+/// model never picks a narrower width than the build. With `direct_join`
+/// off every side is a hash table, as the build makes it.
+int64_t BuildSideBytes(const BoundJoin& join, int64_t payload_span,
+                       bool direct_join) {
   const int64_t n = join.dim_rows;
   if (n <= 0 || join.keys == nullptr) return 0;
   const int32_t* keys = join.keys->data();
@@ -50,7 +52,7 @@ int64_t BuildSideBytes(const BoundJoin& join, int64_t payload_span) {
   }
   const int64_t span = static_cast<int64_t>(max_key) - min_key + 1;
   const int64_t hash_bytes = NextPow2(2 * n) * 8;  // uint64 slots, <= 50%
-  if (span > std::max<int64_t>(4 * n, int64_t{1} << 16) ||
+  if (!direct_join || span > std::max<int64_t>(4 * n, int64_t{1} << 16) ||
       span > kMaxDirectSpan) {
     return hash_bytes;
   }
@@ -72,15 +74,18 @@ int64_t BuildSideBytes(const BoundJoin& join, int64_t payload_span) {
 
 }  // namespace
 
-FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads) {
+FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads,
+                                    bool direct_join) {
   FootprintEstimate est;
   const int64_t t = std::max(threads, 1);
   const int64_t slots = pipe.agg.plan.num_slots();
   const int64_t cells = pipe.layout.cells;
+  // The general path's per-thread evaluation buffers, held at every rung.
+  const int64_t eval = t * pipe.agg.scratch_vectors * kVectorRows * 8;
 
   if (pipe.scalar()) {
     // Per-thread partial accumulator vectors; negligible by design.
-    const int64_t partials = t * slots * 8;
+    const int64_t partials = t * slots * 8 + eval;
     est.dense_agg_bytes = partials;
     est.sparse_agg_bytes = partials;
     est.shared_agg_bytes = partials;
@@ -89,9 +94,9 @@ FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads) {
   } else {
     est.dense_preferred = cells <= kDenseGridMaxCells;
     est.dense_agg_bytes =
-        est.dense_preferred ? t * cells * slots * 8 : 0;
-    est.sparse_agg_bytes = t * SparseTableBytes(cells, slots);
-    est.shared_agg_bytes = SparseTableBytes(cells, slots);
+        est.dense_preferred ? t * cells * slots * 8 + eval : 0;
+    est.sparse_agg_bytes = t * SparseTableBytes(cells, slots) + eval;
+    est.shared_agg_bytes = SparseTableBytes(cells, slots) + eval;
     // Emission: keys triple + emitted accumulators per live group, with
     // live groups bounded by the same occupancy model.
     est.result_bytes =
@@ -103,8 +108,9 @@ FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads) {
     const ProbeStage& probe = pipe.probes[i];
     const int64_t payload_span =
         probe.group_slot >= 0 ? pipe.layout.span[probe.group_slot] : 0;
-    const int64_t bytes = BuildSideBytes(
-        pipe.bound[static_cast<size_t>(probe.join_index)], payload_span);
+    const int64_t bytes =
+        BuildSideBytes(pipe.bound[static_cast<size_t>(probe.join_index)],
+                       payload_span, direct_join);
     est.builds.push_back({probe.cache_key, bytes});
     est.build_bytes += bytes;
   }

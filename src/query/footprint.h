@@ -25,7 +25,8 @@ struct BuildFootprint {
 
 /// Predicted memory footprint of one lowered pipeline, derived from the
 /// same geometry the execution layer uses: GroupLayout cells x AggPlan
-/// slots for the aggregation state, and the JoinTable span and width rules
+/// slots plus the general path's evaluation buffers for the aggregation
+/// state, and the JoinTable span and width rules
 /// (direct span x a bitmap bit, or 8/16 bits by the payload's DimColDomain
 /// range, or a 50%-fill hash table) for each build side. The estimate is
 /// deliberately conservative — build-side spans are measured over the
@@ -71,9 +72,13 @@ struct FootprintEstimate {
 };
 
 /// Estimates the footprint of `pipe` executed by `threads` workers.
-/// Scans each build side's key column for its span (O(dimension rows),
-/// microseconds at SF=1 — dimension tables are small by construction).
-FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads);
+/// `direct_join` is the build representation in force
+/// (cpu::DirectJoinEnabled(), which this layer cannot see): false models
+/// every build side as the hash table the build then makes. Scans each
+/// build side's key column for its span (O(dimension rows), microseconds
+/// at SF=1 — dimension tables are small by construction).
+FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads,
+                                    bool direct_join);
 
 }  // namespace crystal::query
 

@@ -1,10 +1,135 @@
 #include "query/pipeline.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "common/macros.h"
 
 namespace crystal::query {
+
+namespace {
+
+/// Compiles one slot expression for column-at-a-time evaluation (see
+/// CompiledExpr) and returns it; *buffers receives the number of
+/// evaluation buffers it uses.
+CompiledExpr CompileExpr(const Expr& expr, const int col_index[],
+                         int* buffers) {
+  const std::vector<bool> checked = ExprCheckedNodes(expr);
+  CompiledExpr out;
+  std::vector<int> remap(expr.nodes.size());
+  for (size_t i = 0; i < expr.nodes.size(); ++i) {
+    const Expr::Node& n = expr.nodes[i];
+    EvalNode node;
+    node.op = n.op;
+    node.checked = checked[i];
+    if (n.op == Expr::Op::kCol) {
+      node.col = col_index[static_cast<int>(n.col)];
+    } else if (n.op == Expr::Op::kConst) {
+      node.value = n.value;
+    } else {
+      node.a = remap[static_cast<size_t>(n.a)];
+      node.b = remap[static_cast<size_t>(n.b)];
+    }
+    // Merge a duplicate subtree onto its first occurrence (operands are
+    // already merged, so comparing one node compares the subtree). The
+    // root is always appended, which keeps it last.
+    const auto same = std::find_if(
+        out.nodes.begin(), out.nodes.end(), [&node](const EvalNode& e) {
+          return e.op == node.op && e.col == node.col &&
+                 e.value == node.value && e.a == node.a && e.b == node.b;
+        });
+    if (same != out.nodes.end() && i + 1 < expr.nodes.size()) {
+      remap[i] = static_cast<int>(same - out.nodes.begin());
+      continue;
+    }
+    remap[i] = static_cast<int>(out.nodes.size());
+    out.nodes.push_back(node);
+  }
+
+  // Buffers by liveness: a node's buffer is reused once its last reader
+  // has run. The output is claimed before the operands are released, so
+  // a node never writes a buffer it reads. Constants are read as
+  // broadcast operands and need a buffer only as the root.
+  const int n = static_cast<int>(out.nodes.size());
+  std::vector<int> last_use(static_cast<size_t>(n), n);
+  for (int i = 0; i < n; ++i) {
+    const EvalNode& node = out.nodes[static_cast<size_t>(i)];
+    if (node.a >= 0) last_use[static_cast<size_t>(node.a)] = i;
+    if (node.b >= 0) last_use[static_cast<size_t>(node.b)] = i;
+  }
+  std::vector<int> free_buffers;
+  int used = 0;
+  for (int i = 0; i < n; ++i) {
+    EvalNode& node = out.nodes[static_cast<size_t>(i)];
+    if (node.op != Expr::Op::kConst || i == n - 1) {
+      if (free_buffers.empty()) {
+        node.buffer = used++;
+      } else {
+        node.buffer = free_buffers.back();
+        free_buffers.pop_back();
+      }
+    }
+    for (const int operand : {node.a, node.b}) {
+      if (operand < 0 || last_use[static_cast<size_t>(operand)] != i) {
+        continue;
+      }
+      const int buffer = out.nodes[static_cast<size_t>(operand)].buffer;
+      if (buffer >= 0) free_buffers.push_back(buffer);
+      last_use[static_cast<size_t>(operand)] = -1;  // col*col: release once
+    }
+  }
+  *buffers = used;
+  return out;
+}
+
+}  // namespace
+
+std::vector<bool> ExprCheckedNodes(const Expr& expr) {
+  // Bounds in 128 bits: a product of two int64 bounds cannot wrap there.
+  __extension__ using Bound = __int128;
+  constexpr Bound kMin = INT64_MIN;
+  constexpr Bound kMax = INT64_MAX;
+  const size_t n = expr.nodes.size();
+  std::vector<Bound> lo(n);
+  std::vector<Bound> hi(n);
+  std::vector<bool> checked(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    const Expr::Node& node = expr.nodes[i];
+    const size_t a = static_cast<size_t>(node.a);
+    const size_t b = static_cast<size_t>(node.b);
+    switch (node.op) {
+      case Expr::Op::kCol:
+        lo[i] = INT32_MIN;
+        hi[i] = INT32_MAX;
+        break;
+      case Expr::Op::kConst:
+        lo[i] = hi[i] = node.value;
+        break;
+      case Expr::Op::kAdd:
+        lo[i] = lo[a] + lo[b];
+        hi[i] = hi[a] + hi[b];
+        break;
+      case Expr::Op::kSub:
+        lo[i] = lo[a] - hi[b];
+        hi[i] = hi[a] - lo[b];
+        break;
+      case Expr::Op::kMul: {
+        const Bound p[4] = {lo[a] * lo[b], lo[a] * hi[b], hi[a] * lo[b],
+                            hi[a] * hi[b]};
+        lo[i] = *std::min_element(p, p + 4);
+        hi[i] = *std::max_element(p, p + 4);
+        break;
+      }
+    }
+    if (lo[i] < kMin || hi[i] > kMax) {
+      checked[i] = true;
+      lo[i] = kMin;
+      hi[i] = kMax;
+    }
+  }
+  return checked;
+}
 
 QueryPipeline LowerToPipeline(const QuerySpec& spec,
                               const ssb::Database& db) {
@@ -63,6 +188,31 @@ QueryPipeline LowerToPipeline(const QuerySpec& spec,
       p.agg.b = view_of(e.nodes[1]);
     }
   }
+  if (p.agg.simple != AggStage::Simple::kNone) return p;
+
+  // General path: one compiled expression per distinct slot expression.
+  int buffers = 0;
+  for (int s = 0; s < p.agg.plan.num_slots(); ++s) {
+    const AggSlot& slot = p.agg.plan.slots[static_cast<size_t>(s)];
+    if (slot.func == AggFunc::kCount) {
+      p.agg.count_slots.push_back(s);
+      continue;
+    }
+    const auto same = std::find_if(
+        p.agg.exprs.begin(), p.agg.exprs.end(), [&](const CompiledExpr& c) {
+          return p.agg.plan.slots[static_cast<size_t>(c.slots[0])].expr ==
+                 slot.expr;
+        });
+    if (same != p.agg.exprs.end()) {
+      same->slots.push_back(s);
+      continue;
+    }
+    int used = 0;
+    p.agg.exprs.push_back(CompileExpr(slot.expr, p.agg.col_index, &used));
+    p.agg.exprs.back().slots.push_back(s);
+    buffers = std::max(buffers, used);
+  }
+  p.agg.scratch_vectors = buffers + (p.layout.scalar() ? 0 : 1);
   return p;
 }
 

@@ -45,20 +45,68 @@ struct ProbeStage {
   std::string cache_key;
 };
 
+/// Rows per vector in the fused interpreters' column-at-a-time loops, and
+/// so the length of every per-thread evaluation buffer.
+inline constexpr int kVectorRows = 1024;
+
+/// Per-node overflow classification by interval arithmetic: a column spans
+/// the int32 range, a constant is its own value, and a binary node's
+/// interval follows from its operands'. A node is true ("checked") when its
+/// interval can leave int64 — only those nodes need __builtin_*_overflow.
+/// A checked node's value may be anything in int64 afterwards, so the
+/// nodes above it are classified against the whole int64 range. Parallel
+/// to expr.nodes. Examples: col*col and col*(100-col) need no check;
+/// col*col*col keeps one, on its outer multiply.
+std::vector<bool> ExprCheckedNodes(const Expr& expr);
+
+/// One node of a compiled aggregate expression: the Expr node with its
+/// column resolved to an AggStage view index, its overflow class, and the
+/// per-thread evaluation buffer it writes.
+struct EvalNode {
+  Expr::Op op = Expr::Op::kCol;
+  int col = -1;        // kCol: index into AggStage::cols / views
+  int64_t value = 0;   // kConst
+  int a = -1;          // binary ops: operand node indices (earlier nodes)
+  int b = -1;
+  bool checked = false;
+  /// Evaluation buffer index; -1 for a constant read as a broadcast
+  /// operand (a constant gets a buffer only when it is the root).
+  int buffer = -1;
+};
+
+/// One distinct slot expression of the general aggregation path, compiled
+/// for column-at-a-time evaluation: nodes in evaluation (post-)order with
+/// duplicate subtrees merged, root last, and every AggPlan slot that folds
+/// the root's value (`sum X` and `avg X` share one evaluation of X).
+struct CompiledExpr {
+  std::vector<EvalNode> nodes;
+  std::vector<int> slots;
+};
+
 /// The aggregate stage: the expanded slot plan (PlanAggs) plus the distinct
-/// fact columns its expressions read, resolved to views once. Engines
-/// evaluate each slot's expression per surviving row via EvalExpr with a
-/// getter over `views`; `col_index` maps a FactCol to its view slot.
+/// fact columns its expressions read, resolved to views once;
+/// `col_index` maps a FactCol to its view slot.
+///
+/// The general path evaluates `exprs` one node at a time over each vector
+/// of survivors and folds each slot in one loop per function; count slots
+/// evaluate nothing. Evaluation buffers are assigned by liveness within an
+/// expression, so `scratch_vectors` (buffers per thread, kVectorRows int64
+/// each, plus one for the rows' group offsets when grouped) stays small.
 ///
 /// The single-SUM shapes the canonical SSB queries use (one sum of col,
 /// col*col, or col-col) are additionally classified as a `simple` fast
 /// path, so the vectorized engine's specialized aggregate kernels — and
-/// their measured performance — survive the generalization unchanged.
+/// their measured performance — survive the generalization unchanged
+/// (docs/PERF.md measures the fork against the general path).
 struct AggStage {
   AggPlan plan;
   std::vector<FactCol> cols;               // distinct expression inputs
   std::vector<storage::ColumnView> views;  // parallel to cols
   int col_index[kNumFactCols] = {};        // FactCol -> index in cols, or -1
+
+  std::vector<CompiledExpr> exprs;  // distinct non-count slot expressions
+  std::vector<int> count_slots;     // kCount slots
+  int scratch_vectors = 0;          // 0 on the simple path
 
   enum class Simple { kNone, kColumn, kProduct, kDifference };
   Simple simple = Simple::kNone;

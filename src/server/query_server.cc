@@ -57,7 +57,7 @@ int64_t PredictFootprint(const query::QuerySpec& spec,
   try {
     const query::QueryPipeline pipe = query::LowerToPipeline(spec, db);
     const query::FootprintEstimate estimate =
-        query::EstimateFootprint(pipe, threads);
+        query::EstimateFootprint(pipe, threads, cpu::DirectJoinEnabled());
     cpu::BuildCache& cache = cpu::BuildCache::Process();
     const std::string generation = query::GenerationKey(db);
     int64_t footprint = estimate.minimum_bytes();

@@ -23,10 +23,140 @@ namespace crystal::ssb {
 
 namespace {
 
-constexpr int kVector = 1024;
+constexpr int kVector = query::kVectorRows;
 
-constexpr char kOverflowMsg[] =
-    "aggregate sum overflowed the checked 64-bit accumulator";
+// The reference engine's wording (ssb/queries.cc): an expression node left
+// int64, or a sum/count fold (or a merge of partials) did.
+constexpr char kExprOverflowMsg[] =
+    "aggregate expression overflow: a node left the 64-bit range";
+constexpr char kAccumulatorOverflowMsg[] =
+    "aggregate accumulator overflow: the checked 64-bit accumulator wrapped";
+
+// ---------------------------------------- general-path vector kernels
+
+/// A binary node's operand: an evaluated buffer, or a constant read as a
+/// broadcast value.
+struct Operand {
+  const int64_t* values = nullptr;  // null: use `constant`
+  int64_t constant = 0;
+};
+
+/// out[i] = a(i) op b(i) for m rows. Unchecked nodes are plain loops the
+/// compiler can vectorize (the interval proof says int64 cannot overflow
+/// there); checked nodes OR-reduce the overflow builtin across the vector.
+/// Returns false when any row overflowed.
+template <query::Expr::Op kOp, bool kChecked, typename A, typename B>
+bool BinaryLoop(A a, B b, int m, int64_t* __restrict out) {
+  bool overflow = false;
+  for (int i = 0; i < m; ++i) {
+    const int64_t x = a(i);
+    const int64_t y = b(i);
+    if constexpr (kChecked) {
+      if constexpr (kOp == query::Expr::Op::kAdd) {
+        overflow |= __builtin_add_overflow(x, y, &out[i]);
+      } else if constexpr (kOp == query::Expr::Op::kSub) {
+        overflow |= __builtin_sub_overflow(x, y, &out[i]);
+      } else {
+        overflow |= __builtin_mul_overflow(x, y, &out[i]);
+      }
+    } else if constexpr (kOp == query::Expr::Op::kAdd) {
+      out[i] = x + y;
+    } else if constexpr (kOp == query::Expr::Op::kSub) {
+      out[i] = x - y;
+    } else {
+      out[i] = x * y;
+    }
+  }
+  return !overflow;
+}
+
+template <query::Expr::Op kOp, bool kChecked>
+bool BinaryNode(Operand a, Operand b, int m, int64_t* out) {
+  const auto column = [](const int64_t* v) {
+    return [v](int i) { return v[i]; };
+  };
+  const auto broadcast = [](int64_t k) { return [k](int) { return k; }; };
+  if (a.values != nullptr && b.values != nullptr) {
+    return BinaryLoop<kOp, kChecked>(column(a.values), column(b.values), m,
+                                     out);
+  }
+  if (a.values != nullptr) {
+    return BinaryLoop<kOp, kChecked>(column(a.values),
+                                     broadcast(b.constant), m, out);
+  }
+  if (b.values != nullptr) {
+    return BinaryLoop<kOp, kChecked>(broadcast(a.constant),
+                                     column(b.values), m, out);
+  }
+  return BinaryLoop<kOp, kChecked>(broadcast(a.constant),
+                                   broadcast(b.constant), m, out);
+}
+
+template <query::Expr::Op kOp>
+bool BinaryNode(bool checked, Operand a, Operand b, int m, int64_t* out) {
+  return checked ? BinaryNode<kOp, true>(a, b, m, out)
+                 : BinaryNode<kOp, false>(a, b, m, out);
+}
+
+/// Folds v[0..m) into one scalar accumulator; false when a sum overflows.
+bool FoldScalar(query::AggFunc func, const int64_t* v, int m, int64_t* acc) {
+  int64_t a = *acc;
+  bool overflow = false;
+  switch (func) {
+    case query::AggFunc::kSum:
+      for (int i = 0; i < m; ++i) {
+        overflow |= __builtin_add_overflow(a, v[i], &a);
+      }
+      break;
+    case query::AggFunc::kMin:
+      for (int i = 0; i < m; ++i) a = v[i] < a ? v[i] : a;
+      break;
+    default:  // kMax; count slots evaluate no expression
+      for (int i = 0; i < m; ++i) a = v[i] > a ? v[i] : a;
+      break;
+  }
+  *acc = a;
+  return !overflow;
+}
+
+/// Folds v[i] into acc[off[i]] for m rows: `off` holds each row's
+/// accumulator-row offset and `acc` points at the slot within row 0.
+/// False when a sum overflows.
+bool FoldGrouped(query::AggFunc func, const int64_t* v, const int64_t* off,
+                 int m, int64_t* acc) {
+  bool overflow = false;
+  switch (func) {
+    case query::AggFunc::kSum:
+      for (int i = 0; i < m; ++i) {
+        int64_t& a = acc[off[i]];
+        overflow |= __builtin_add_overflow(a, v[i], &a);
+      }
+      break;
+    case query::AggFunc::kMin:
+      for (int i = 0; i < m; ++i) {
+        int64_t& a = acc[off[i]];
+        if (v[i] < a) a = v[i];
+      }
+      break;
+    default:
+      for (int i = 0; i < m; ++i) {
+        int64_t& a = acc[off[i]];
+        if (v[i] > a) a = v[i];
+      }
+      break;
+  }
+  return !overflow;
+}
+
+/// Adds one to acc[off[i]] for m rows (a grouped count slot).
+bool CountGrouped(const int64_t* off, int m, int64_t* acc) {
+  bool overflow = false;
+  for (int i = 0; i < m; ++i) {
+    int64_t& a = acc[off[i]];
+    overflow |= __builtin_add_overflow(a, int64_t{1}, &a);
+  }
+  return !overflow;
+}
 
 // Thread-local dense aggregation grids over donated or private scratch,
 // merged after the parallel scan. Each cell holds plan.num_slots()
@@ -52,8 +182,9 @@ class GridAgg {
     }
   }
 
-  /// The accumulator row of `cell` on `thread` (lazily identity-filled).
-  int64_t* Row(int thread, int64_t cell) {
+  /// `thread`'s grid (lazily identity-filled); cell c's accumulator row
+  /// starts at c * plan.num_slots().
+  int64_t* Base(int thread) {
     auto& grid = grids_[static_cast<size_t>(thread)];
     if (!touched_[static_cast<size_t>(thread)]) {
       grid.resize(static_cast<size_t>(cells_) *
@@ -61,7 +192,12 @@ class GridAgg {
       query::FillIdentity(*plan_, grid.data(), cells_);
       touched_[static_cast<size_t>(thread)] = 1;
     }
-    return grid.data() + cell * plan_->num_slots();
+    return grid.data();
+  }
+
+  /// The accumulator row of `cell` on `thread`.
+  int64_t* Row(int thread, int64_t cell) {
+    return Base(thread) + cell * plan_->num_slots();
   }
 
   /// Merges all touched thread grids into grid 0 (cell-striped across the
@@ -121,31 +257,38 @@ class SparseGrid {
 
   void Bind(const query::AggPlan* plan) { plan_ = plan; }
 
-  /// The accumulator row of `cell` (inserted identity-filled on first
-  /// touch). Values live in a side pool, so growth rehashes only the
-  /// fixed-size slots.
-  int64_t* Row(int64_t cell) {
+  /// The offset of `cell`'s accumulator row in values() (inserted
+  /// identity-filled on first touch). Values live in a side pool, so
+  /// growth rehashes only the fixed-size slots; an insert can reallocate
+  /// the pool, so offsets outlive it and pointers do not.
+  int64_t Offset(int64_t cell) {
     if (2 * (count_ + 1) > static_cast<int64_t>(slots_.size())) Grow();
     const int slots = plan_->num_slots();
     const size_t mask = slots_.size() - 1;
     size_t s = Hash(cell) & mask;
     for (;;) {
       Slot& slot = slots_[s];
-      if (slot.cell == cell) {
-        return &values_[static_cast<size_t>(slot.index)];
-      }
+      if (slot.cell == cell) return slot.index;
       if (slot.cell == kEmpty) {
         slot.cell = cell;
         slot.index = static_cast<int64_t>(values_.size());
         values_.resize(values_.size() + static_cast<size_t>(slots));
-        int64_t* row = &values_[static_cast<size_t>(slot.index)];
-        query::FillIdentity(*plan_, row, 1);
+        query::FillIdentity(*plan_,
+                            &values_[static_cast<size_t>(slot.index)], 1);
         ++count_;
-        return row;
+        return slot.index;
       }
       s = (s + 1) & mask;
     }
   }
+
+  /// The accumulator row of `cell`, valid until the next insert.
+  int64_t* Row(int64_t cell) {
+    const int64_t offset = Offset(cell);
+    return &values_[static_cast<size_t>(offset)];
+  }
+
+  int64_t* values() { return values_.data(); }
 
   /// Folds `other`'s entries into this table; false on merge overflow.
   bool Absorb(const SparseGrid& other) {
@@ -236,7 +379,10 @@ struct FusedQuery::Impl {
             sparse ? 1 : pipe.layout.cells, &pipe.agg.plan),
         sparse_grids(!sparse ? 0
                              : (shared_sparse ? 1
-                                              : static_cast<size_t>(threads))) {
+                                              : static_cast<size_t>(threads))),
+        scratch_stride(static_cast<size_t>(pipe.agg.scratch_vectors) *
+                       kVector),
+        eval_scratch(static_cast<size_t>(threads) * scratch_stride) {
     query::FillIdentity(pipe.agg.plan, partial.data(), threads);
     for (SparseGrid& grid : sparse_grids) grid.Bind(&pipe.agg.plan);
     // Packed columns that must materialize per vector (probe keys and
@@ -359,6 +505,11 @@ struct FusedQuery::Impl {
   /// Serializes shared_sparse access to sparse_grids[0]. Degraded-floor
   /// only — per-thread rungs never touch it.
   std::mutex sparse_mu;
+  /// General-path evaluation buffers: pipe.agg.scratch_vectors vectors of
+  /// kVector int64 per thread, thread t's at t * scratch_stride (the
+  /// footprint model charges them with the aggregation state).
+  const size_t scratch_stride;
+  std::vector<int64_t> eval_scratch;
 
   /// Failure latch: set by the first failing RunMorsel, read (relaxed) on
   /// every later morsel to short-circuit a doomed member's remaining
@@ -386,7 +537,7 @@ StatusOr<std::unique_ptr<FusedQuery>> FusedQuery::Create(
     // passed, so lowering cannot abort on input).
     query::QueryPipeline pipe = query::LowerToPipeline(spec, db);
     const query::FootprintEstimate footprint =
-        query::EstimateFootprint(pipe, threads);
+        query::EstimateFootprint(pipe, threads, cpu::DirectJoinEnabled());
     MemoryBudget& budget = MemoryBudget::Process();
     const std::string generation = query::GenerationKey(db);
 
@@ -589,13 +740,13 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
         if (have_sel) {
           for (int i = 0; i < m; ++i) {
             if (__builtin_add_overflow(sum, value_of(sel[i]), &sum)) {
-              return OutOfRangeError(kOverflowMsg);
+              return OutOfRangeError(kAccumulatorOverflowMsg);
             }
           }
         } else {
           for (int i = 0; i < n; ++i) {
             if (__builtin_add_overflow(sum, value_of(i), &sum)) {
-              return OutOfRangeError(kOverflowMsg);
+              return OutOfRangeError(kAccumulatorOverflowMsg);
             }
           }
         }
@@ -610,69 +761,101 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
         for (int i = 0; i < m; ++i) {
           int64_t* row = grid.Row(cell_of(i));
           if (__builtin_add_overflow(row[0], value_of(sel[i]), &row[0])) {
-            return OutOfRangeError(kOverflowMsg);
+            return OutOfRangeError(kAccumulatorOverflowMsg);
           }
         }
       } else {
         for (int i = 0; i < m; ++i) {
           int64_t* row = s.agg.Row(t, cell_of(i));
           if (__builtin_add_overflow(row[0], value_of(sel[i]), &row[0])) {
-            return OutOfRangeError(kOverflowMsg);
+            return OutOfRangeError(kAccumulatorOverflowMsg);
           }
         }
       }
       continue;
     }
-    // General path: resolve every distinct aggregate input once per
-    // vector, then evaluate each slot's expression per surviving row with
-    // checked 64-bit arithmetic.
+    // General path, column at a time: each distinct expression is
+    // evaluated node by node over the m survivors into this thread's
+    // buffers, then every slot folds it in one loop per function.
+    if (m == 0) continue;
     for (size_t c = 0; c < pipe.agg.views.size(); ++c) {
       agg_cols[c] = resolve(pipe.agg.views[c], s.agg_slot[c]);
     }
-    const auto accumulate = [&](int64_t* acc, int row) -> bool {
-      const auto get = [&](query::FactCol col) {
-        return agg_cols[pipe.agg.col_index[static_cast<int>(col)]][row];
-      };
-      for (int sl = 0; sl < num_slots; ++sl) {
-        const query::AggSlot& slot = plan.slots[static_cast<size_t>(sl)];
-        int64_t value = 1;  // counts add 1 per surviving row
-        if (slot.func != query::AggFunc::kCount &&
-            !query::EvalExpr(slot.expr, get, &value)) {
-          return false;
-        }
-        if (!query::AggAccumulate(slot.func, &acc[sl], value)) return false;
-      }
-      return true;
+    int64_t* const scratch =
+        s.eval_scratch.data() + static_cast<size_t>(t) * s.scratch_stride;
+    const auto buffer = [scratch](int b) {
+      return scratch + static_cast<size_t>(b) * kVector;
     };
-    if (s.scalar) {
-      if (have_sel) {
-        for (int i = 0; i < m; ++i) {
-          if (!accumulate(partial_row, sel[i])) {
-            return OutOfRangeError(kOverflowMsg);
-          }
-        }
+    // Grouped rungs resolve each row's accumulator-row offset once per
+    // vector into the last buffer; `acc` is the base those offsets index.
+    int64_t* acc = partial_row;
+    int64_t* offsets = nullptr;
+    std::unique_lock<std::mutex> lock(s.sparse_mu, std::defer_lock);
+    if (!s.scalar) {
+      offsets = buffer(pipe.agg.scratch_vectors - 1);
+      if (s.sparse) {
+        if (s.shared_sparse) lock.lock();
+        SparseGrid& grid =
+            s.sparse_grids[s.shared_sparse ? 0 : static_cast<size_t>(t)];
+        for (int i = 0; i < m; ++i) offsets[i] = grid.Offset(cell_of(i));
+        acc = grid.values();  // after the inserts, which can reallocate
       } else {
-        for (int i = 0; i < n; ++i) {
-          if (!accumulate(partial_row, i)) {
-            return OutOfRangeError(kOverflowMsg);
+        acc = s.agg.Base(t);
+        for (int i = 0; i < m; ++i) offsets[i] = cell_of(i) * num_slots;
+      }
+    }
+    for (const query::CompiledExpr& e : pipe.agg.exprs) {
+      const auto operand = [&](int k) {
+        const query::EvalNode& o = e.nodes[static_cast<size_t>(k)];
+        return o.buffer >= 0 ? Operand{buffer(o.buffer), 0}
+                             : Operand{nullptr, o.value};
+      };
+      bool ok = true;
+      for (const query::EvalNode& node : e.nodes) {
+        if (node.buffer < 0) continue;  // read as a broadcast operand
+        int64_t* const out = buffer(node.buffer);
+        switch (node.op) {
+          case query::Expr::Op::kCol: {
+            const int32_t* col = agg_cols[node.col];
+            if (have_sel) {
+              for (int i = 0; i < m; ++i) out[i] = col[sel[i]];
+            } else {
+              for (int i = 0; i < m; ++i) out[i] = col[i];
+            }
+            break;
           }
+          case query::Expr::Op::kConst:
+            std::fill(out, out + m, node.value);
+            break;
+          case query::Expr::Op::kAdd:
+            ok &= BinaryNode<query::Expr::Op::kAdd>(
+                node.checked, operand(node.a), operand(node.b), m, out);
+            break;
+          case query::Expr::Op::kSub:
+            ok &= BinaryNode<query::Expr::Op::kSub>(
+                node.checked, operand(node.a), operand(node.b), m, out);
+            break;
+          case query::Expr::Op::kMul:
+            ok &= BinaryNode<query::Expr::Op::kMul>(
+                node.checked, operand(node.a), operand(node.b), m, out);
+            break;
         }
       }
-    } else if (s.sparse) {
-      std::unique_lock<std::mutex> lock(s.sparse_mu, std::defer_lock);
-      if (s.shared_sparse) lock.lock();
-      SparseGrid& grid =
-          s.sparse_grids[s.shared_sparse ? 0 : static_cast<size_t>(t)];
-      for (int i = 0; i < m; ++i) {
-        if (!accumulate(grid.Row(cell_of(i)), sel[i])) {
-          return OutOfRangeError(kOverflowMsg);
+      if (!ok) return OutOfRangeError(kExprOverflowMsg);
+      const int64_t* const v = buffer(e.nodes.back().buffer);
+      for (const int sl : e.slots) {
+        const query::AggFunc func = plan.slots[static_cast<size_t>(sl)].func;
+        if (!(s.scalar ? FoldScalar(func, v, m, &partial_row[sl])
+                       : FoldGrouped(func, v, offsets, m, acc + sl))) {
+          return OutOfRangeError(kAccumulatorOverflowMsg);
         }
       }
-    } else {
-      for (int i = 0; i < m; ++i) {
-        if (!accumulate(s.agg.Row(t, cell_of(i)), sel[i])) {
-          return OutOfRangeError(kOverflowMsg);
-        }
+    }
+    for (const int sl : pipe.agg.count_slots) {
+      if (!(s.scalar ? !__builtin_add_overflow(partial_row[sl], int64_t{m},
+                                               &partial_row[sl])
+                     : CountGrouped(offsets, m, acc + sl))) {
+        return OutOfRangeError(kAccumulatorOverflowMsg);
       }
     }
   }
@@ -714,7 +897,7 @@ StatusOr<QueryResult> FusedQuery::FinishImpl(ThreadPool& pool) {
                 s.partial[static_cast<size_t>(t) *
                               static_cast<size_t>(num_slots) +
                           static_cast<size_t>(sl)])) {
-          return OutOfRangeError(kOverflowMsg);
+          return OutOfRangeError(kAccumulatorOverflowMsg);
         }
       }
     }
@@ -729,7 +912,7 @@ StatusOr<QueryResult> FusedQuery::FinishImpl(ThreadPool& pool) {
   } else if (s.sparse) {
     for (size_t t = 1; t < s.sparse_grids.size(); ++t) {
       if (!s.sparse_grids[0].Absorb(s.sparse_grids[t])) {
-        return OutOfRangeError(kOverflowMsg);
+        return OutOfRangeError(kAccumulatorOverflowMsg);
       }
     }
     s.sparse_grids[0].Emit(s.pipe.layout, &r);
@@ -738,7 +921,7 @@ StatusOr<QueryResult> FusedQuery::FinishImpl(ThreadPool& pool) {
   } else {
     bool ok = true;
     const std::vector<int64_t>& grid = s.agg.Merge(pool, &ok);
-    if (!ok) return OutOfRangeError(kOverflowMsg);
+    if (!ok) return OutOfRangeError(kAccumulatorOverflowMsg);
     EmitDenseGroups(s.pipe.layout, plan, grid.data(), &r);
   }
   return r;

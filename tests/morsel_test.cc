@@ -6,6 +6,8 @@
 // and which build-side representation (direct-address vs hash) the join
 // tables use. The build cache must serve repeated and overlapping specs
 // without ever mixing up build sides that differ only in their filters.
+// An aggregate that overflows int64 must fail with kOutOfRange on every
+// aggregation rung, naming the node or the fold that overflowed.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -456,7 +458,8 @@ TEST(FusedQueryDegradationTest, SharedSparseFloorIsBitIdentical) {
   const query::QuerySpec spec = query::SsbSpec(QueryId::kQ43);
   const int threads = 4;
   const query::FootprintEstimate estimate =
-      query::EstimateFootprint(query::LowerToPipeline(spec, TestDb()), threads);
+      query::EstimateFootprint(query::LowerToPipeline(spec, TestDb()), threads,
+                               cpu::DirectJoinEnabled());
   ASSERT_FALSE(estimate.dense_preferred);  // q4.3 takes the sparse path
   ASSERT_GT(estimate.sparse_agg_bytes, estimate.shared_agg_bytes);
   budget.set_limit(estimate.shared_agg_bytes +
@@ -625,17 +628,27 @@ TEST(BuildJoinTableTest, DirectAndHashRepresentationsAgree) {
 }
 
 /// Asserts that the footprint model never under-claims a build side:
-/// every probe's estimate must cover the bytes the build cache actually
-/// charged for the table the engine fetched.
-void ExpectEstimatesCoverBuilds(const query::QuerySpec& spec,
-                                ThreadPool& pool) {
+/// every probe's estimate, under the build representation in force, must
+/// cover the bytes the build cache actually charged for the table the
+/// engine fetched. Returns how many of those tables the direct-table model
+/// would under-claim (non-zero in hash mode shows the representation
+/// parameter matters).
+int ExpectEstimatesCoverBuilds(const query::QuerySpec& spec,
+                               ThreadPool& pool) {
+  const query::QueryPipeline pipe = query::LowerToPipeline(spec, TestDb());
+  const bool direct = cpu::DirectJoinEnabled();
   const query::FootprintEstimate estimate =
-      query::EstimateFootprint(query::LowerToPipeline(spec, TestDb()), 2);
+      query::EstimateFootprint(pipe, 2, direct);
+  const query::FootprintEstimate direct_model =
+      query::EstimateFootprint(pipe, 2, /*direct_join=*/true);
   StatusOr<std::unique_ptr<FusedQuery>> fused =
       FusedQuery::Create(spec, TestDb(), 2, pool);
-  ASSERT_TRUE(fused.ok()) << spec.name << ": " << fused.status().ToString();
+  EXPECT_TRUE(fused.ok()) << spec.name << ": " << fused.status().ToString();
+  if (!fused.ok()) return 0;
   const std::string generation = query::GenerationKey(TestDb());
-  for (const query::BuildFootprint& build : estimate.builds) {
+  int direct_model_short = 0;
+  for (size_t i = 0; i < estimate.builds.size(); ++i) {
+    const query::BuildFootprint& build = estimate.builds[i];
     bool hit = false;
     StatusOr<std::shared_ptr<const cpu::JoinTable>> table =
         cpu::BuildCache::Process().GetOrBuild(
@@ -645,26 +658,201 @@ void ExpectEstimatesCoverBuilds(const query::QuerySpec& spec,
               return cpu::JoinTable();
             },
             &hit);
-    ASSERT_TRUE(table.ok() && hit) << spec.name << " " << build.cache_key;
+    EXPECT_TRUE(table.ok() && hit) << spec.name << " " << build.cache_key;
+    if (!table.ok()) continue;
     EXPECT_GE(build.bytes, (*table)->bytes())
-        << spec.name << " " << build.cache_key;
+        << spec.name << " " << build.cache_key << " direct=" << direct;
+    if (direct_model.builds[i].bytes < (*table)->bytes()) {
+      ++direct_model_short;
+    }
   }
+  return direct_model_short;
 }
 
 TEST(FootprintTest, BuildEstimatesCoverChargedTables) {
   DispatchGuard guard;
-  cpu::SetDirectJoinEnabled(true);
-  cpu::BuildCache::Process().Clear();
   ThreadPool pool(2);
-  for (QueryId id : kAllQueries) {
-    ExpectEstimatesCoverBuilds(query::SsbSpec(id), pool);
-  }
   workload::GenOptions options;
   options.count = 192;
-  for (const workload::GeneratedQuery& q :
-       workload::GenerateWorkload(options)) {
-    ExpectEstimatesCoverBuilds(q.spec, pool);
+  const std::vector<workload::GeneratedQuery> generated =
+      workload::GenerateWorkload(options);
+  for (const bool direct : {true, false}) {
+    cpu::SetDirectJoinEnabled(direct);
+    cpu::BuildCache::Process().Clear();
+    int direct_model_short = 0;
+    for (QueryId id : kAllQueries) {
+      direct_model_short +=
+          ExpectEstimatesCoverBuilds(query::SsbSpec(id), pool);
+    }
+    for (const workload::GeneratedQuery& q : generated) {
+      direct_model_short += ExpectEstimatesCoverBuilds(q.spec, pool);
+    }
+    if (direct) {
+      EXPECT_EQ(direct_model_short, 0);
+    } else {
+      // Hash sides are larger than the direct tables the same joins get.
+      EXPECT_GT(direct_model_short, 0);
+    }
   }
+}
+
+// ------------------------------------------- overflow through the engine
+
+const Database& PackedTestDb() {
+  static const Database* db = [] {
+    DatagenOptions options;
+    options.scale_factor = 1;
+    options.fact_divisor = 200;
+    options.storage.encoding = storage::Encoding::kPacked;
+    return new Database(Generate(options));
+  }();
+  return *db;
+}
+
+TEST(AggLoweringTest, SlotsShareOneEvaluationPerDistinctExpression) {
+  const query::QueryPipeline pipe = query::LowerToPipeline(
+      Adhoc("sum extendedprice, avg extendedprice, min revenue, "
+            "max revenue, count"),
+      TestDb());
+  ASSERT_EQ(pipe.agg.simple, query::AggStage::Simple::kNone);
+  // Slots: sum ep | avg ep = sum ep, count | min rev | max rev | count.
+  ASSERT_EQ(pipe.agg.exprs.size(), 2u);
+  EXPECT_EQ(pipe.agg.exprs[0].slots, (std::vector<int>{0, 1}));
+  EXPECT_EQ(pipe.agg.exprs[1].slots, (std::vector<int>{3, 4}));
+  EXPECT_EQ(pipe.agg.count_slots, (std::vector<int>{2, 5}));
+  EXPECT_EQ(pipe.agg.scratch_vectors, 1);  // scalar: no offset buffer
+
+  // extendedprice*(100-discount): the constant is a broadcast operand and
+  // the multiply reuses the discount buffer the subtraction released.
+  const query::QueryPipeline q1 = query::LowerToPipeline(
+      Adhoc("sum extendedprice*(100-discount), count join date on orderdate "
+            "group by d_year"),
+      TestDb());
+  ASSERT_EQ(q1.agg.exprs.size(), 1u);
+  const std::vector<query::EvalNode>& nodes = q1.agg.exprs[0].nodes;
+  ASSERT_EQ(nodes.size(), 5u);
+  EXPECT_EQ(nodes[1].op, query::Expr::Op::kConst);
+  EXPECT_EQ(nodes[1].buffer, -1);
+  EXPECT_EQ(nodes[4].buffer, nodes[2].buffer);
+  for (const query::EvalNode& node : nodes) EXPECT_FALSE(node.checked);
+  EXPECT_EQ(q1.agg.scratch_vectors, 3 + 1);  // plus the group offsets
+
+  // A subtree used twice is evaluated once.
+  const query::QueryPipeline twice = query::LowerToPipeline(
+      Adhoc("sum revenue*revenue + revenue*revenue"), TestDb());
+  ASSERT_EQ(twice.agg.exprs.size(), 1u);
+  EXPECT_EQ(twice.agg.exprs[0].nodes.size(), 3u);  // revenue, r*r, root
+
+  // The canonical single-SUM shapes keep the fast path and no scratch.
+  const query::QueryPipeline q21 =
+      query::LowerToPipeline(query::SsbSpec(QueryId::kQ21), TestDb());
+  EXPECT_NE(q21.agg.simple, query::AggStage::Simple::kNone);
+  EXPECT_TRUE(q21.agg.exprs.empty());
+  EXPECT_EQ(q21.agg.scratch_vectors, 0);
+}
+
+/// Runs `spec` through FusedQuery with `threads` workers; `shared_floor`
+/// squeezes the memory budget so Create degrades to the shared sparse
+/// table. Returns the first failure of Create, RunMorsel or Finish.
+Status RunFused(const query::QuerySpec& spec, const Database& db, int threads,
+                bool shared_floor, FusedQuery::AggMode* mode) {
+  ThreadPool pool(threads);
+  MemoryBudget& budget = MemoryBudget::Process();
+  if (shared_floor) {
+    cpu::BuildCache::Process().Clear();
+    const query::FootprintEstimate estimate = query::EstimateFootprint(
+        query::LowerToPipeline(spec, db), threads, cpu::DirectJoinEnabled());
+    budget.set_limit(estimate.shared_agg_bytes +
+                     (estimate.sparse_agg_bytes - estimate.shared_agg_bytes) /
+                         2);
+  }
+  StatusOr<std::unique_ptr<FusedQuery>> fused =
+      FusedQuery::Create(spec, db, threads, pool);
+  budget.set_limit(0);
+  if (!fused.ok()) return fused.status();
+  *mode = (*fused)->agg_mode();
+  // RunMorsel latches the first failure; Finish reports it.
+  pool.ParallelForMorsels(
+      db.lo.rows, 1024, [&](int t, int64_t begin, int64_t end) {
+        static_cast<void>((*fused)->RunMorsel(t, begin, end));
+      });
+  return (*fused)->Finish(pool).status();
+}
+
+TEST(FusedOverflowTest, EveryRungFailsWithTheNodeOrFoldThatOverflowed) {
+  DispatchGuard guard;
+  // K*K = 2^62 - 2^32 + 1, so K*K + K*K still fits int64 and one more
+  // row (or one more extendedprice * K) does not. extendedprice is
+  // 1..60000 in the generator, so nearly every row overflows the
+  // expression cases.
+  const std::string k2 = "2147483647*2147483647";
+  struct Case {
+    const char* name;
+    std::string aggs;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"mul", "sum extendedprice*" + k2, "aggregate expression overflow"},
+      {"add", "sum " + k2 + " + " + k2 + " + extendedprice*2147483647",
+       "aggregate expression overflow"},
+      {"sub",
+       "sum 0 - " + k2 + " - " + k2 + " - extendedprice*2147483647, count",
+       "aggregate expression overflow"},
+      // No node overflows; two rows of one group (or two threads'
+      // partials) overflow the sum.
+      {"fold", "min revenue, sum " + k2 + " + " + k2 + " + extendedprice",
+       "aggregate accumulator overflow"},
+  };
+  struct Rung {
+    const char* name;
+    const char* tail;
+    FusedQuery::AggMode mode;
+    bool shared_floor;
+  };
+  const char* const kSparseTail =
+      " join date on orderdate join part on partkey "
+      "group by d_yearmonthnum, p_brand1";
+  const Rung rungs[] = {
+      {"scalar-nosel", "", FusedQuery::AggMode::kScalar, false},
+      {"scalar-sel", " where quantity in 10..40",
+       FusedQuery::AggMode::kScalar, false},
+      {"dense", " join supplier on suppkey group by s_nation",
+       FusedQuery::AggMode::kDense, false},
+      {"sparse", kSparseTail, FusedQuery::AggMode::kSparse, false},
+      {"shared-sparse", kSparseTail, FusedQuery::AggMode::kSharedSparse,
+       true},
+  };
+  for (const bool packed : {false, true}) {
+    const Database& db = packed ? PackedTestDb() : TestDb();
+    for (const bool simd : {false, true}) {
+      if (simd && !cpu::SimdAvailable()) continue;
+      cpu::SetSimdEnabled(simd);
+      cpu::BuildCache::Process().Clear();
+      for (const int threads : {1, 3}) {
+        for (const Rung& rung : rungs) {
+          // One worker's per-thread table is the shared table's size, so
+          // only a pool of 2+ can be squeezed onto the floor.
+          if (rung.shared_floor && threads == 1) continue;
+          for (const Case& c : cases) {
+            const query::QuerySpec spec = Adhoc(c.aggs + rung.tail);
+            FusedQuery::AggMode mode = FusedQuery::AggMode::kScalar;
+            const Status status =
+                RunFused(spec, db, threads, rung.shared_floor, &mode);
+            const std::string where =
+                std::string(c.name) + " " + rung.name +
+                (packed ? " packed" : " plain") + (simd ? " simd" : "") +
+                " t" + std::to_string(threads);
+            EXPECT_EQ(mode, rung.mode) << where;
+            EXPECT_EQ(status.code(), StatusCode::kOutOfRange)
+                << where << ": " << status.ToString();
+            EXPECT_NE(status.message().find(c.message), std::string::npos)
+                << where << ": " << status.ToString();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(MemoryBudget::Process().used(MemCategory::kSparseTables), 0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "query/parser.h"
+#include "query/pipeline.h"
 #include "query/ssb_specs.h"
 #include "ssb/query_id.h"
 
@@ -483,6 +484,42 @@ TEST(CheckedAccumulationTest, EvalExprDetectsMultiplyOverflow) {
   // One past the integer square root of INT64_MAX overflows.
   EXPECT_FALSE(EvalExpr(
       expr, [](FactCol) { return int64_t{3037000500}; }, &out));
+}
+
+TEST(CheckedAccumulationTest, IntervalsKeepChecksOnlyWhereInt64CanOverflow) {
+  using B = std::vector<bool>;
+  const auto col = [] { return ColExpr(FactCol::kExtendedprice); };
+  const auto mul = [](Expr a, Expr b) {
+    return BinExpr(Expr::Op::kMul, std::move(a), std::move(b));
+  };
+  // int32 x int32 fits in 63 bits: no node keeps a check.
+  EXPECT_EQ(ExprCheckedNodes(mul(col(), col())), (B{false, false, false}));
+  EXPECT_EQ(ExprCheckedNodes(BinExpr(Expr::Op::kSub, col(), col())),
+            (B{false, false, false}));
+  // extendedprice * (100 - discount): 100 - int32 stays within 2^31 + 100.
+  EXPECT_EQ(ExprCheckedNodes(mul(col(), BinExpr(Expr::Op::kSub,
+                                                ConstExpr(100), col()))),
+            B(5, false));
+  // col*col*col: only the outer multiply can leave int64.
+  EXPECT_EQ(ExprCheckedNodes(mul(mul(col(), col()), col())),
+            (B{false, false, false, false, true}));
+  // Constants are exact: K*K + K*K leaves 2^33 - 3 of headroom, enough
+  // for one more int32 term but not for an int32 * K term.
+  const auto k2 = [&mul] {
+    return mul(ConstExpr(INT32_MAX), ConstExpr(INT32_MAX));
+  };
+  const Expr two = BinExpr(Expr::Op::kAdd, k2(), k2());
+  EXPECT_EQ(ExprCheckedNodes(two), B(7, false));
+  EXPECT_FALSE(ExprCheckedNodes(BinExpr(Expr::Op::kAdd, two, col())).back());
+  EXPECT_TRUE(ExprCheckedNodes(BinExpr(Expr::Op::kAdd, two,
+                                       mul(col(), ConstExpr(INT32_MAX))))
+                  .back());
+  // Above a checked node any int64 may arrive: * 1 stays unchecked, + 1
+  // does not.
+  const Expr cube = mul(mul(col(), col()), col());
+  EXPECT_FALSE(ExprCheckedNodes(mul(cube, ConstExpr(1))).back());
+  EXPECT_TRUE(
+      ExprCheckedNodes(BinExpr(Expr::Op::kAdd, cube, ConstExpr(1))).back());
 }
 
 // ------------------------------------------------ dictionary resolution

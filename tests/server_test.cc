@@ -325,6 +325,45 @@ TEST(QueryServerTest, MorselFaultFailsOnlyThatExecution) {
   EXPECT_TRUE(ok.result == ssb::RunReference(TestDb(), fine_spec));
 }
 
+TEST(QueryServerTest, OverflowFailsOnlyItsBatchMemberAndIsNotRetryable) {
+  DispatchGuard guard;
+  ServerOptions options;
+  options.start_paused = true;  // both members land in one batch
+  options.threads = 2;
+  QueryServer server(options);
+  server.AddDatabase("db", &TestDb());
+
+  // extendedprice >= 3 makes extendedprice * K * K (K = 2^31 - 1) leave
+  // int64 in the outer multiply; the batch-mate shares the scan.
+  const query::QuerySpec doomed_spec = Adhoc(
+      "sum extendedprice*2147483647*2147483647 join date on orderdate "
+      "group by d_year");
+  const query::QuerySpec fine_spec =
+      Adhoc("sum extendedprice, avg quantity, min revenue, max revenue, "
+            "count join date on orderdate group by d_year");
+  auto doomed = server.Submit(doomed_spec);
+  auto fine = server.Submit(fine_spec);
+  server.Resume();
+
+  const QueryOutcome failed = doomed.get();
+  EXPECT_EQ(failed.status, QueryOutcome::Status::kError);
+  EXPECT_NE(failed.error.find("kOutOfRange"), std::string::npos)
+      << failed.error;
+  EXPECT_NE(failed.error.find("aggregate expression overflow"),
+            std::string::npos)
+      << failed.error;
+  EXPECT_FALSE(failed.retryable);  // deterministic: a retry overflows again
+
+  const QueryOutcome ok = fine.get();
+  ASSERT_EQ(ok.status, QueryOutcome::Status::kOk) << ok.error;
+  EXPECT_EQ(ok.batch_size, 2);
+  const QueryOutcome solo = server.ExecuteSync(fine_spec);
+  ASSERT_EQ(solo.status, QueryOutcome::Status::kOk) << solo.error;
+  EXPECT_EQ(solo.batch_size, 1);
+  EXPECT_TRUE(ok.result == solo.result);
+  EXPECT_TRUE(ok.result == ssb::RunReference(TestDb(), fine_spec));
+}
+
 TEST(QueryServerTest, RejectionsCarryTheRetryContract) {
   DispatchGuard guard;
   ServerOptions options;
